@@ -325,14 +325,12 @@ int main(int argc, char** argv) {
 
   if (flags.get_bool("profile")) {
     // Cache counters exist only for the GA path; the evaluate-mapping and
-    // exhaustive paths never consult the mode cache (-1 omits the rows).
+    // exhaustive paths never consult the mode cache (-1 omits the row).
     const bool cached = flags.get_string("evaluate-mapping").empty() &&
                         !flags.get_bool("exhaustive");
     std::printf("%s", profiler
                           .table(cached ? result.mode_cache_hits : -1,
-                                 cached ? result.mode_cache_lookups : -1,
-                                 cached ? result.schedule_cache_hits : -1,
-                                 cached ? result.schedule_cache_lookups : -1)
+                                 cached ? result.mode_cache_lookups : -1)
                           .c_str());
   }
 

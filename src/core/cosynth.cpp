@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 #include "core/island_ga.hpp"
 #include "core/run_control.hpp"
@@ -25,18 +26,42 @@ EvaluationOptions make_eval_options(const System& system,
   return eval;
 }
 
-/// The island-sharded route of synthesize(): same shape as the plain
-/// route — build, resume, run, final fine-DVS evaluation through the warm
-/// memo — with the island container checkpoint machinery and the
-/// champion island's cache in place of the single GA's.
-SynthesisResult synthesize_islands(const System& system,
-                                   const SynthesisOptions& options,
-                                   RunControl* control) {
+IslandOptions island_topology(const SynthesisOptions& options) {
   IslandOptions topology;
   topology.islands = options.islands;
   topology.migration_interval = options.migration_interval;
   topology.migrants = options.migrants;
+  return topology;
+}
 
+/// Builds every mode graph's lazy adjacency caches before any worker
+/// thread reads them: TaskGraph::finalize mutates `mutable` state, so the
+/// first concurrent accessors of an unfinalized graph would race.
+void finalize_mode_graphs(const System& system) {
+  for (const Mode& mode : system.omsm.modes())
+    if (!mode.graph.finalize())
+      throw std::invalid_argument("mode '" + mode.name +
+                                  "': task graph has a cycle");
+}
+
+/// The final (reported) evaluation: fine DVS, schedules kept, true Ψ
+/// power. It rebuilds the best candidate's few schedules from scratch —
+/// cheaper than storing every schedule the GA ever built.
+Evaluation final_evaluation(const System& system,
+                            const SynthesisOptions& options,
+                            const SynthesisResult& result) {
+  const Evaluator final_evaluator(system,
+                                  make_eval_options(system, options, true));
+  return final_evaluator.evaluate(result.mapping, result.cores);
+}
+
+/// The island-sharded route of synthesize(): same shape as the plain
+/// route — build, resume, run, final fine-DVS evaluation — with the
+/// island container checkpoint machinery.
+SynthesisResult synthesize_islands(const System& system,
+                                   const SynthesisOptions& options,
+                                   RunControl* control) {
+  const IslandOptions topology = island_topology(options);
   const Evaluator loop_evaluator(system,
                                  make_eval_options(system, options, false));
   IslandGa ga(system, loop_evaluator, options.fitness, options.allocation,
@@ -53,26 +78,7 @@ SynthesisResult synthesize_islands(const System& system,
     ga.restore(loaded.snapshot);
   }
   SynthesisResult result = ga.run({}, control);
-
-  // Final (reported) evaluation through the champion island's warm memo;
-  // the schedule-stage counters stay whole-run totals (summed across
-  // islands by IslandGa::run), so only the final evaluation's delta on
-  // the champion cache is added on top.
-  const Evaluator final_evaluator(system,
-                                  make_eval_options(system, options, true));
-  ModeEvalCache* cache = options.ga.memoize_mode_evaluations
-                             ? &ga.champion_mode_cache()
-                             : nullptr;
-  if (cache != nullptr) {
-    const long pre_hits = cache->schedule_hits();
-    const long pre_lookups = cache->schedule_lookups();
-    result.evaluation =
-        final_evaluator.evaluate(result.mapping, result.cores, cache);
-    result.schedule_cache_hits += cache->schedule_hits() - pre_hits;
-    result.schedule_cache_lookups += cache->schedule_lookups() - pre_lookups;
-  } else {
-    result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
-  }
+  result.evaluation = final_evaluation(system, options, result);
   return result;
 }
 
@@ -81,6 +87,8 @@ SynthesisResult synthesize_islands(const System& system,
 SynthesisResult synthesize(const System& system,
                            const SynthesisOptions& options,
                            RunControl* control) {
+  IslandGa::validate(options.ga, island_topology(options));
+  finalize_mode_graphs(system);
   if (options.islands != 1) return synthesize_islands(system, options, control);
 
   const Evaluator loop_evaluator(system,
@@ -102,24 +110,7 @@ SynthesisResult synthesize(const System& system,
     ga.restore(loaded.snapshot);
   }
   SynthesisResult result = ga.run({}, control);
-
-  // Final (reported) evaluation: fine DVS, schedules kept, true Ψ power.
-  // It runs through the GA's warm memo: the schedule-stage keys cover only
-  // the scheduler backend, so even though the fine DVS knobs give this
-  // evaluator a different whole-mode fingerprint, the best candidate's
-  // schedules are already in the stage store and stages 1–2 are skipped.
-  // Replayed schedules are bit-identical to rebuilt ones (same stage
-  // code), so sharing the cache never changes the reported evaluation.
-  const Evaluator final_evaluator(system,
-                                  make_eval_options(system, options, true));
-  ModeEvalCache* cache =
-      options.ga.memoize_mode_evaluations ? &ga.mode_cache() : nullptr;
-  result.evaluation =
-      final_evaluator.evaluate(result.mapping, result.cores, cache);
-  if (cache != nullptr) {
-    result.schedule_cache_hits = cache->schedule_hits();
-    result.schedule_cache_lookups = cache->schedule_lookups();
-  }
+  result.evaluation = final_evaluation(system, options, result);
   return result;
 }
 
@@ -175,9 +166,7 @@ SynthesisResult exhaustive_search(const System& system,
   result.mapping = codec.decode(best_genome);
   result.cores =
       build_core_allocation(system, result.mapping, options.allocation);
-  const Evaluator final_evaluator(system,
-                                  make_eval_options(system, options, true));
-  result.evaluation = final_evaluator.evaluate(result.mapping, result.cores);
+  result.evaluation = final_evaluation(system, options, result);
   result.fitness = best_fitness;
   result.generations = 0;
   result.evaluations = evaluations;

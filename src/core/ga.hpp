@@ -54,6 +54,8 @@ namespace ga_detail {
 
 /// GA tuning parameters.
 struct GaOptions {
+  /// At least elite_count + 1 (IslandGa::validate, which synthesize()
+  /// runs, rejects smaller populations).
   int population_size = 64;
   int max_generations = 600;
   /// Convergence: stop after this many generations without improvement of
@@ -188,10 +190,7 @@ struct SynthesisResult {
   /// (both 0 when GaOptions::memoize_mode_evaluations is off).
   long mode_cache_hits = 0;
   long mode_cache_lookups = 0;
-  /// Schedule-stage cache hits / lookups (the stage-granular tier of the
-  /// same memo: a hit reuses the list-scheduling artifact and re-runs
-  /// only serialization/DVS/aggregation). Probed only on whole-mode
-  /// misses, so lookups <= mode_cache_lookups - mode_cache_hits.
+  /// Always 0: the schedule-stage tier is gone; perfbench still reads them.
   long schedule_cache_hits = 0;
   long schedule_cache_lookups = 0;
   double elapsed_seconds = 0.0;
@@ -247,10 +246,8 @@ public:
 
   [[nodiscard]] const GenomeCodec& codec() const { return codec_; }
 
-  /// The per-mode memo this GA fills during its run. Exposed so the
-  /// synthesis driver can hand the warm cache to the final (fine-DVS)
-  /// evaluation, whose schedule-stage keys match the GA's — the final
-  /// evaluation then skips list scheduling entirely.
+  /// The per-mode memo this GA fills during its run (exposed for its
+  /// counters and for tests).
   [[nodiscard]] ModeEvalCache& mode_cache() { return mode_cache_; }
 
   // ---- Island-stepping interface (DESIGN.md §14) ------------------------

@@ -32,6 +32,18 @@ struct IslandGa::Island {
 
 void IslandGa::validate(const GaOptions& ga_options,
                         const IslandOptions& island_options) {
+  // Breeding keeps the first elite_count slots and draws every other
+  // index from the rest, so at least one non-elite slot must exist.
+  if (ga_options.elite_count < 0)
+    throw std::invalid_argument("population: elite_count must be >= 0 (got " +
+                                std::to_string(ga_options.elite_count) + ")");
+  if (ga_options.population_size < ga_options.elite_count + 1)
+    throw std::invalid_argument(
+        "population: --population=" +
+        std::to_string(ga_options.population_size) +
+        " is too small for elite_count=" +
+        std::to_string(ga_options.elite_count) + "; use at least " +
+        std::to_string(ga_options.elite_count + 1));
   if (island_options.islands < 1)
     throw std::invalid_argument(
         "islands: --islands must be >= 1 (got " +
@@ -55,8 +67,7 @@ void IslandGa::validate(const GaOptions& ga_options,
     throw std::invalid_argument(
         "islands: --migrants must be >= 0 (got " +
         std::to_string(island_options.migrants) + ")");
-  const int elite =
-      std::min(ga_options.elite_count, ga_options.population_size);
+  const int elite = ga_options.elite_count;
   if (island_options.migrants > ga_options.population_size - elite)
     throw std::invalid_argument(
         "islands: --migrants=" + std::to_string(island_options.migrants) +
@@ -111,10 +122,6 @@ std::uint64_t IslandGa::state_fingerprint() const {
   // island's rng_stream, so this digest pins the whole sharded trajectory.
   for (const auto& island : islands_) h.add(island->ga.state_fingerprint());
   return h.digest();
-}
-
-ModeEvalCache& IslandGa::champion_mode_cache() {
-  return islands_[static_cast<std::size_t>(champion_)]->ga.mode_cache();
 }
 
 IslandSnapshot IslandGa::make_snapshot() const {
@@ -267,7 +274,7 @@ SynthesisResult IslandGa::run(
   // counters — total work across all shards, the slowest island's
   // generation count and wall clock.
   long evaluations = 0, cache_hits = 0, cache_lookups = 0;
-  long mode_hits = 0, mode_lookups = 0, sched_hits = 0, sched_lookups = 0;
+  long mode_hits = 0, mode_lookups = 0;
   int generations = 0;
   double elapsed = 0.0;
   for (auto& island : islands_) {
@@ -276,8 +283,6 @@ SynthesisResult IslandGa::run(
     cache_lookups += island->ga.cache_lookups();
     mode_hits += island->ga.mode_cache().hits();
     mode_lookups += island->ga.mode_cache().lookups();
-    sched_hits += island->ga.mode_cache().schedule_hits();
-    sched_lookups += island->ga.mode_cache().schedule_lookups();
     generations = std::max(generations, island->st.generation);
     elapsed = std::max(elapsed, island->ga.loop_elapsed(island->st));
   }
@@ -286,8 +291,6 @@ SynthesisResult IslandGa::run(
   result.cache_lookups = cache_lookups;
   result.mode_cache_hits = mode_hits;
   result.mode_cache_lookups = mode_lookups;
-  result.schedule_cache_hits = sched_hits;
-  result.schedule_cache_lookups = sched_lookups;
   result.generations = generations;
   result.elapsed_seconds = elapsed;
   return result;

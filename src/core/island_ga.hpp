@@ -54,10 +54,12 @@ public:
            std::uint64_t seed);
   ~IslandGa();
 
-  /// Validates an island configuration against the GA options it will
+  /// Validates the population size against elite_count (for any island
+  /// count) and an island configuration against the GA options it will
   /// run with. Throws std::invalid_argument naming the offending flag and
-  /// the fix; returns normally otherwise. Called by the constructor;
-  /// exposed so CLI frontends can fail fast before building evaluators.
+  /// the fix; returns normally otherwise. Called by the constructor and by
+  /// synthesize(); exposed so CLI frontends can fail fast before building
+  /// evaluators.
   static void validate(const GaOptions& ga_options,
                        const IslandOptions& island_options);
 
@@ -85,12 +87,6 @@ public:
 
   /// Index of the champion island of the last run() (0 before any run).
   [[nodiscard]] int champion_index() const { return champion_; }
-
-  /// The champion island's warm per-mode memo, for the synthesis driver's
-  /// final fine-DVS evaluation (see MappingGa::mode_cache). Valid after
-  /// run(); island caches are fully partitioned — no island ever reads
-  /// another island's memo, so per-island replay stays self-contained.
-  [[nodiscard]] ModeEvalCache& champion_mode_cache();
 
 private:
   struct Island;

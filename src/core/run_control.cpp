@@ -34,7 +34,10 @@ constexpr char kMagic[8] = {'M', 'M', 'S', 'Y', 'N', 'C', 'K', 'P'};
 // v5: ModeEvaluation gained the power-model breakdown fields
 // (baseline_static_power, idle_energy_saved, wake_energy, temperature),
 // serialized after `routable`.
-constexpr std::uint32_t kVersion = 5;
+// v6: dropped the v3 schedule-stage section with the tier itself. Older
+// files are rejected as unsupported, which the newest-good fallback
+// treats like any other unusable generation (DESIGN.md §13).
+constexpr std::uint32_t kVersion = 6;
 
 class Writer {
 public:
@@ -210,50 +213,6 @@ ModeEvaluation read_mode_evaluation(Reader& r) {
   return m;
 }
 
-void write_mode_schedule(Writer& w, const ModeSchedule& s) {
-  w.u64(s.tasks.size());
-  for (const ScheduledTask& t : s.tasks) {
-    w.i32(t.task.value());
-    w.i32(t.pe.value());
-    w.i32(t.core_instance);
-    w.f64(t.start);
-    w.f64(t.finish);
-  }
-  w.u64(s.comms.size());
-  for (const ScheduledComm& c : s.comms) {
-    w.i32(c.edge.value());
-    w.i32(c.cl.value());
-    w.boolean(c.local);
-    w.f64(c.start);
-    w.f64(c.finish);
-  }
-  w.f64(s.makespan);
-  w.boolean(s.routable);
-}
-
-ModeSchedule read_mode_schedule(Reader& r) {
-  ModeSchedule s;
-  s.tasks.resize(r.u64());
-  for (ScheduledTask& t : s.tasks) {
-    t.task = TaskId{static_cast<TaskId::value_type>(r.i32())};
-    t.pe = PeId{static_cast<PeId::value_type>(r.i32())};
-    t.core_instance = r.i32();
-    t.start = r.f64();
-    t.finish = r.f64();
-  }
-  s.comms.resize(r.u64());
-  for (ScheduledComm& c : s.comms) {
-    c.edge = EdgeId{static_cast<EdgeId::value_type>(r.i32())};
-    c.cl = ClId{static_cast<ClId::value_type>(r.i32())};
-    c.local = r.boolean();
-    c.start = r.f64();
-    c.finish = r.f64();
-  }
-  s.makespan = r.f64();
-  s.routable = r.boolean();
-  return s;
-}
-
 std::string serialize_ga(const GaSnapshot& snapshot) {
   // Genomes are fixed-length per run; store the length once.
   const std::size_t genome_length =
@@ -287,13 +246,6 @@ std::string serialize_ga(const GaSnapshot& snapshot) {
   for (const auto& [key, value] : snapshot.mode_cache) {
     write_mode_key(w, key);
     write_mode_evaluation(w, value);
-  }
-  w.i64(snapshot.schedule_cache_hits);
-  w.i64(snapshot.schedule_cache_lookups);
-  w.u64(snapshot.schedule_cache.size());
-  for (const auto& [key, value] : snapshot.schedule_cache) {
-    write_mode_key(w, key);
-    write_mode_schedule(w, value);
   }
   return w.bytes();
 }
@@ -332,15 +284,6 @@ GaSnapshot deserialize_ga(std::string_view payload) {
     ModeEvalKey key = read_mode_key(r);
     ModeEvaluation value = read_mode_evaluation(r);
     s.mode_cache.emplace_back(std::move(key), std::move(value));
-  }
-  s.schedule_cache_hits = r.i64();
-  s.schedule_cache_lookups = r.i64();
-  const std::uint64_t schedule_cache_count = r.u64();
-  s.schedule_cache.reserve(schedule_cache_count);
-  for (std::uint64_t i = 0; i < schedule_cache_count; ++i) {
-    ModeEvalKey key = read_mode_key(r);
-    ModeSchedule value = read_mode_schedule(r);
-    s.schedule_cache.emplace_back(std::move(key), std::move(value));
   }
   if (!r.done()) throw CheckpointError("trailing bytes in payload");
   return s;

@@ -9,16 +9,12 @@
 //   5 finalize      — timing penalty + shut-down analysis     → ModeEvaluation
 //
 // `run` executes 1→5; `build_schedule` (1–2) and `evaluate_scheduled`
-// (3–5) split the chain at the ModeSchedule artifact — the boundary the
-// stage-granular cache resumes from. Both the cold path and every cached
-// path execute the same stage functions in the same order, so a cache hit
-// is bitwise-indistinguishable from a recompute by construction.
+// (3–5) split the chain at the ModeSchedule artifact, which the auditor
+// uses to replay the stages one at a time.
 //
-// Fingerprints: `schedule_fingerprint` covers exactly the options stages
-// 1–2 read (the scheduler backend), `evaluation_fingerprint` additionally
-// covers stages 3–5 (the DVS backend and its knobs). A schedule artifact
-// keyed by {mode, schedule_fingerprint, task_to_pe, cores} is therefore
-// reusable across runs that differ only in voltage-relevant state.
+// Fingerprint: `evaluation_fingerprint` covers every option that shapes a
+// ModeEvaluation (scheduler backend, DVS backend and knobs, non-reference
+// power model); the mode cache keys on it.
 //
 // Thread safety: all stage methods are const and pure apart from the
 // optional profiler, which accumulates with relaxed atomics; one pipeline
@@ -56,10 +52,9 @@ struct PipelineOptions {
   PipelineProfiler* profiler = nullptr;
   /// Power-model backend (stages 4–5; see power/power_model.hpp). Null
   /// selects the pinned `paper` reference model — bit-identical to the
-  /// pre-registry behaviour and absent from every fingerprint, exactly
+  /// pre-registry behaviour and absent from the fingerprint, exactly
   /// like an explicit reference model. Non-reference models fold their
-  /// fingerprint into the evaluation fingerprint only; schedule
-  /// artifacts stay shareable across power backends.
+  /// fingerprint into the evaluation fingerprint.
   const PowerModel* power = nullptr;
 };
 
@@ -91,7 +86,7 @@ public:
                                         ModeSchedule schedule) const;
 
   // ---- Composites. -----------------------------------------------------
-  /// Stages 1–2: the schedule artifact (the stage-cache boundary).
+  /// Stages 1–2: the schedule artifact.
   [[nodiscard]] ModeSchedule build_schedule(
       std::size_t m, const ModeMapping& mapping,
       const std::vector<CoreSet>& hw_cores) const;
@@ -104,10 +99,6 @@ public:
   [[nodiscard]] ModeEvaluation run(std::size_t m, const ModeMapping& mapping,
                                    const std::vector<CoreSet>& hw_cores) const;
 
-  /// FNV-1a over the options stages 1–2 read (scheduler backend only).
-  [[nodiscard]] std::uint64_t schedule_fingerprint() const {
-    return schedule_fingerprint_;
-  }
   /// FNV-1a over everything that shapes a ModeEvaluation (scheduler
   /// backend + DVS backend + DVS knobs).
   [[nodiscard]] std::uint64_t evaluation_fingerprint() const {
@@ -119,7 +110,6 @@ public:
 private:
   const System& system_;
   PipelineOptions options_;
-  std::uint64_t schedule_fingerprint_ = 0;
   std::uint64_t evaluation_fingerprint_ = 0;
 };
 

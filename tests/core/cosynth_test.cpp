@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/run_control.hpp"
+#include "model/io.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -137,6 +141,57 @@ TEST(Cosynth, BudgetTakesPrecedenceOverConcurrentCancel) {
   const SynthesisResult result = synthesize(system, options, &control);
   EXPECT_TRUE(result.partial);
   EXPECT_EQ(result.stop_reason, StopReason::kBudgetExhausted);
+}
+
+TEST(Cosynth, UnvalidatedParsedSystemIsSafeAcrossThreads) {
+  // Regression: TaskGraph builds its adjacency caches lazily, so a parsed
+  // System that never went through validate() had its graphs finalized
+  // by the first concurrent evaluations — a data race. synthesize() now
+  // finalizes every mode graph before any worker starts (tools/ci.sh
+  // runs this test under ThreadSanitizer).
+  const std::string text = system_to_string(make_mul(8));
+  SynthesisOptions options = small(3);
+  options.ga.num_threads = 4;
+  const System parsed = system_from_string(text);
+  const SynthesisResult parallel = synthesize(parsed, options);
+  options.ga.num_threads = 1;
+  const System reference = system_from_string(text);
+  const SynthesisResult serial = synthesize(reference, options);
+  EXPECT_EQ(parallel.fitness, serial.fitness);
+  EXPECT_EQ(parallel.evaluation.avg_power_true,
+            serial.evaluation.avg_power_true);
+}
+
+TEST(Cosynth, CyclicModeGraphIsTypedError) {
+  System system = make_mul(3);
+  TaskGraph& graph = system.omsm.mode(ModeId{0}).graph;
+  ASSERT_GT(graph.edge_count(), 0u);
+  const TaskEdge edge = graph.edge(EdgeId{0});
+  graph.add_edge(edge.dst, edge.src, 0.0);  // closes a two-task cycle
+  EXPECT_THROW((void)synthesize(system, small(1)), std::invalid_argument);
+}
+
+TEST(Cosynth, UndersizedPopulationIsTypedError) {
+  // The breeding loop needs one slot beyond the elite_count = 2 elites;
+  // smaller populations used to be undefined behaviour (a segfault).
+  const System system = make_mul(3);
+  SynthesisOptions options = small(1);
+  for (const int population : {0, 1, 2}) {
+    SCOPED_TRACE("population " + std::to_string(population));
+    options.ga.population_size = population;
+    try {
+      (void)synthesize(system, options);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("--population=" + std::to_string(population)),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("elite_count=2"), std::string::npos) << msg;
+    }
+  }
+  options.ga.population_size = 3;
+  EXPECT_NO_THROW((void)synthesize(system, options));
 }
 
 }  // namespace

@@ -328,6 +328,41 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.name;
     });
 
+TEST(Checkpoint, V5FileIsUnsupportedVersionAndFallsBack) {
+  // v6 dropped the schedule-stage section, so a v5 file is refused by its
+  // header with a typed error naming the version, and the newest-good
+  // fallback skips it like any other unusable generation.
+  const std::string path = scratch_path("v5_fallback");
+  remove_generations(path);
+  GaSnapshot snap = sample_snapshot();
+  snap.next_generation = 5;
+  save_checkpoint_rotating(path, snap, 3);  // becomes .1 after next save
+  snap.next_generation = 10;
+  save_checkpoint_rotating(path, snap, 3);
+  std::string bytes = read_file(path);
+  ASSERT_EQ(bytes[8], 6);  // u32 version right after the 8-byte magic
+  bytes[8] = 5;
+  write_file(path, bytes);
+
+  try {
+    (void)load_checkpoint(path);
+    FAIL() << "expected CheckpointError";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 5"),
+              std::string::npos)
+        << e.what();
+  }
+  const CheckpointLoadResult loaded =
+      load_checkpoint_fallback(path, 3, sample_snapshot().fingerprint);
+  EXPECT_EQ(loaded.generation, 1);
+  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  ASSERT_EQ(loaded.notes.size(), 1u);
+  EXPECT_NE(loaded.notes[0].find("unsupported checkpoint version 5"),
+            std::string::npos)
+      << loaded.notes[0];
+  remove_generations(path);
+}
+
 TEST(Checkpoint, FallbackSkipsMissingNewestGeneration) {
   // A crash between rotation and the final rename leaves `path` absent
   // with the previous checkpoint shifted to `path.1` — resume must treat

@@ -182,6 +182,32 @@ TEST(JobServer, PoisonJobIsQuarantinedWithoutAffectingOthers) {
   EXPECT_EQ(stats.completed, 1u);
 }
 
+TEST(JobServer, UndersizedPopulationFailsTypedAndServerSurvives) {
+  // Regression: a population smaller than elite_count + 1 used to crash
+  // the worker (and with it the whole daemon). It must now end in a typed
+  // failed outcome that names the bound, with the server still serving.
+  const std::string dir = scratch_dir("tiny_population");
+  JobServer server(base_options(dir));
+  server.start();
+
+  SubmitRequest tiny;
+  tiny.system_text = small_system_text();
+  tiny.options = fast_options(8);
+  tiny.options.population = 1;
+  const SubmitOutcome submitted = server.submit(tiny);
+  ASSERT_TRUE(submitted.accepted);
+
+  const WaitOutcome result = server.wait(submitted.ok.job_id);
+  ASSERT_TRUE(result.ok);
+  EXPECT_EQ(result.result.outcome, JobOutcome::kQuarantined);
+  EXPECT_NE(result.result.report.find("--population=1"), std::string::npos)
+      << result.result.report;
+
+  const StatsReply stats = server.stats();
+  EXPECT_EQ(stats.quarantined, 1u);
+  EXPECT_EQ(stats.completed, 0u);
+}
+
 TEST(JobServer, BudgetExhaustionIsTypedAndCarriesPartialResult) {
   const std::string dir = scratch_dir("budget");
   JobServer server(base_options(dir));

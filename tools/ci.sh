@@ -19,11 +19,10 @@ cmake --build build -j "$JOBS"
 echo "== plain ctest =="
 (cd build && ctest --output-on-failure -j 2)
 
-echo "== stage-cache hit rates + pipeline stage profile =="
-# incremental_eval exits nonzero when the cached (staged) run diverges
-# bytewise from the cache-disabled one, so this doubles as the
-# pipeline-vs-legacy divergence gate; --profile adds the per-stage table
-# to the CI summary.
+echo "== mode-cache hit rates + pipeline stage profile =="
+# incremental_eval exits nonzero when the cached run diverges bytewise
+# from the cache-disabled one, so this doubles as the cache divergence
+# gate; --profile adds the per-stage table to the CI summary.
 ./build/bench/incremental_eval --muls 3,6 --population 24 --generations 20 \
   --profile --dvs
 
@@ -245,6 +244,11 @@ cmake -B build-tsan -S . -DMMSYN_SANITIZE=thread > /dev/null
 cmake --build build-tsan -j "$JOBS"
 ./build-tsan/examples/synthesize_file --input "$IN" $ARGS \
   --islands 3 --migration-interval 5 --migrants 2 --threads 3 > /dev/null
+# A parsed System that skipped validate() must be safe to synthesize at
+# threads > 1: synthesize() finalizes every mode graph before the pool
+# starts, so the lazy TaskGraph caches are never built concurrently.
+./build-tsan/tests/test_core \
+  --gtest_filter='Cosynth.UnvalidatedParsedSystemIsSafeAcrossThreads'
 
 echo "== thread-sanitizer server run =="
 # The job server is the other thread-heavy subsystem: workers, watchdog,

@@ -20,8 +20,7 @@
 #include <sstream>
 
 #include "common/flags.hpp"
-#include "pipeline/backends.hpp"
-#include "power/backends.hpp"
+#include "core/job_options.hpp"
 #include "server/client.hpp"
 
 using namespace mmsyn;
@@ -63,31 +62,11 @@ int result_exit(const JobResultReply& result) {
   return 1;
 }
 
-std::vector<std::string> backend_names(
-    const std::vector<SchedulerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<DvsBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<PowerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
+  define_job_flags(flags);
   flags.define_string("socket", "", "unix-domain socket of mmsyn_serve");
   flags.define_string("input", "", ".mmsyn system file to submit");
   flags.define_bool("async", false,
@@ -96,34 +75,18 @@ int main(int argc, char** argv) {
   flags.define_int("job", 0, "wait for this existing job id instead of "
                              "submitting");
   flags.define_bool("stats", false, "print server counters and exit");
-  flags.define_int("seed", 1, "GA seed");
-  flags.define_int("population", 64, "GA population size");
-  flags.define_int("generations", 600, "GA generation cap");
-  flags.define_int("threads", 1,
-                   "fitness-evaluation threads inside the job (result is "
-                   "identical for any value)");
-  flags.define_choice("dvs", backend_names(dvs_backends()),
-                      /*default_value=*/dvs_backend_name(false),
-                      /*implicit_value=*/dvs_backend_name(true),
-                      "voltage-scaling backend (bare --dvs = " +
-                          std::string(dvs_backend_name(true)) + ")");
-  flags.define_choice("scheduler", backend_names(scheduler_backends()),
-                      /*default_value=*/scheduler_backends().front().name,
-                      /*implicit_value=*/scheduler_backends().front().name,
-                      "list-scheduler priority backend");
-  flags.define_choice("power", backend_names(power_backends()),
-                      /*default_value=*/power_backends().front().name,
-                      /*implicit_value=*/power_backends().front().name,
-                      "power-model backend of the submitted job");
-  flags.define_bool("uniform", false,
-                    "neglect mode probabilities (baseline behaviour)");
-  flags.define_double("time-budget", 0.0,
-                      "per-job wall-clock budget in seconds (0 = server "
-                      "default)");
-  flags.define_bool("gantt", true, "include Gantt charts in the report");
-  flags.define_bool("report-voltages", false,
-                    "include voltage schedules in the report");
   if (!flags.parse(argc, argv)) return 1;
+
+  // The server validates too; checking here first fails a bad flag with
+  // exit 1 before any connection is made.
+  JobOptions job;
+  try {
+    job = job_options_from_flags(flags);
+    validate(job);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   if (flags.get_string("socket").empty()) {
     std::fprintf(stderr, "--socket is required\n");
@@ -174,6 +137,7 @@ int main(int argc, char** argv) {
     }
 
     SubmitRequest request;
+    request.options = job;
     {
       std::ifstream in(flags.get_string("input"), std::ios::binary);
       if (!in) {
@@ -185,20 +149,6 @@ int main(int argc, char** argv) {
       ss << in.rdbuf();
       request.system_text = ss.str();
     }
-    request.options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-    request.options.population =
-        static_cast<std::int32_t>(flags.get_int("population"));
-    request.options.generations =
-        static_cast<std::int32_t>(flags.get_int("generations"));
-    request.options.threads =
-        static_cast<std::int32_t>(flags.get_int("threads"));
-    request.options.dvs_backend = flags.get_string("dvs");
-    request.options.scheduler_backend = flags.get_string("scheduler");
-    request.options.power_backend = flags.get_string("power");
-    request.options.consider_probabilities = !flags.get_bool("uniform");
-    request.options.time_budget = flags.get_double("time-budget");
-    request.options.report_gantt = flags.get_bool("gantt");
-    request.options.report_voltages = flags.get_bool("report-voltages");
 
     const SubmitOutcome submitted = client.submit(request);
     if (!submitted.accepted) return reject_exit(submitted.reject);

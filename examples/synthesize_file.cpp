@@ -22,83 +22,32 @@
 #include "core/allocation_builder.hpp"
 #include "core/cosynth.hpp"
 #include "core/island_ga.hpp"
+#include "core/job_options.hpp"
 #include "core/report.hpp"
 #include "core/run_control.hpp"
 #include "model/io.hpp"
 #include "model/mapping_io.hpp"
-#include "pipeline/backends.hpp"
 #include "pipeline/profile.hpp"
-#include "power/backends.hpp"
 #include "tgff/smart_phone.hpp"
 #include "tgff/suites.hpp"
 
 using namespace mmsyn;
 
-namespace {
-
-std::vector<std::string> backend_names(
-    const std::vector<SchedulerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<DvsBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-std::vector<std::string> backend_names(
-    const std::vector<PowerBackendInfo>& backends) {
-  std::vector<std::string> names;
-  for (const auto& b : backends) names.emplace_back(b.name);
-  return names;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   Flags flags;
+  define_job_flags(flags);
   flags.define_string("input", "", ".mmsyn file to synthesise");
   flags.define_string("output", "", "write the system/export here");
   flags.define_bool("export-smartphone", false,
                     "write the smart-phone benchmark to --output and exit");
   flags.define_int("export-mul", 0,
                    "write suite instance mulN to --output and exit");
-  flags.define_choice("dvs", backend_names(dvs_backends()),
-                      /*default_value=*/dvs_backend_name(false),
-                      /*implicit_value=*/dvs_backend_name(true),
-                      "voltage-scaling backend (bare --dvs = " +
-                          std::string(dvs_backend_name(true)) + ")");
-  flags.define_choice("scheduler", backend_names(scheduler_backends()),
-                      /*default_value=*/scheduler_backends().front().name,
-                      /*implicit_value=*/scheduler_backends().front().name,
-                      "list-scheduler priority backend");
-  flags.define_choice("power", backend_names(power_backends()),
-                      /*default_value=*/power_backends().front().name,
-                      /*implicit_value=*/power_backends().front().name,
-                      "power-model backend (paper = the pinned reference "
-                      "model; thermal = temperature-dependent leakage; "
-                      "dpm-idle = sleep-state idle-interval accounting)");
   flags.define_bool("profile", false,
                     "print per-stage pipeline timings and cache hit rates");
-  flags.define_bool("uniform", false,
-                    "neglect mode probabilities (baseline behaviour)");
-  flags.define_bool("report-voltages", false,
-                    "include voltage schedules in the report");
-  flags.define_bool("gantt", true, "include Gantt charts in the report");
   flags.define_string("save-mapping", "",
                       "write the synthesised mapping to this file");
   flags.define_string("evaluate-mapping", "",
                       "skip synthesis; evaluate this mapping file instead");
-  flags.define_int("seed", 1, "GA seed");
-  flags.define_int("population", 64, "GA population size");
-  flags.define_int("generations", 600, "GA generation cap");
-  flags.define_int("threads", 1,
-                   "fitness-evaluation threads (0 = all cores); the result "
-                   "is identical for any value");
   flags.define_choice("rng", {"threefry", "legacy"},
                       /*default_value=*/"threefry",
                       /*implicit_value=*/"threefry",
@@ -116,9 +65,6 @@ int main(int argc, char** argv) {
   flags.define_int("mode-cache-capacity", 1 << 16,
                    "per-mode evaluation cache entry cap, FIFO eviction "
                    "(0 = unbounded)");
-  flags.define_double("time-budget", 0.0,
-                      "wall-clock budget in seconds (0 = unlimited); on "
-                      "expiry the best-so-far result is reported");
   flags.define_string("checkpoint", "",
                       "write resumable GA checkpoints to this file");
   flags.define_int("checkpoint-every", 25,
@@ -149,6 +95,31 @@ int main(int argc, char** argv) {
   flags.define_int("exhaustive-budget", 2'000'000,
                    "candidate-count cap of --exhaustive");
   if (!flags.parse(argc, argv)) return 1;
+
+  // Every option is checked before any work: the shared job options,
+  // then the CLI-only GA settings and island topology on top of them.
+  JobOptions job;
+  SynthesisOptions options;
+  PipelineProfiler profiler;
+  try {
+    job = job_options_from_flags(flags);
+    validate(job);
+    options = to_synthesis_options(job);
+    if (flags.get_bool("profile")) options.profiler = &profiler;
+    options.ga.rng = flags.get_string("rng") == "legacy" ? RngKind::kXoshiro
+                                                         : RngKind::kThreefry;
+    options.ga.mode_cache_capacity =
+        static_cast<std::size_t>(flags.get_int("mode-cache-capacity"));
+    options.islands = static_cast<int>(flags.get_int("islands"));
+    options.migration_interval =
+        static_cast<int>(flags.get_int("migration-interval"));
+    options.migrants = static_cast<int>(flags.get_int("migrants"));
+    IslandGa::validate(options.ga, {options.islands, options.migration_interval,
+                                    options.migrants});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 
   if (flags.get_string("failpoints") == "list") {
     for (const std::string& site : failpoint::registered_sites())
@@ -202,49 +173,6 @@ int main(int argc, char** argv) {
   }
   if (!flags.get_bool("quiet")) std::printf("%s\n", describe(system).c_str());
 
-  SynthesisOptions options;
-  PipelineProfiler profiler;
-  try {
-    // The flag layer already restricts the values to the registered
-    // choices; resolving through the registry keeps the name -> backend
-    // mapping in one place (pipeline/backends.cpp).
-    options.use_dvs = resolve_dvs_backend(flags.get_string("dvs"));
-    options.scheduling_policy =
-        resolve_scheduler_backend(flags.get_string("scheduler"));
-    options.power = resolve_power_backend(flags.get_string("power"));
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
-  if (flags.get_bool("profile")) options.profiler = &profiler;
-  options.consider_probabilities = !flags.get_bool("uniform");
-  options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
-  options.ga.population_size = static_cast<int>(flags.get_int("population"));
-  options.ga.max_generations = static_cast<int>(flags.get_int("generations"));
-  options.ga.num_threads = static_cast<int>(flags.get_int("threads"));
-  options.ga.rng = flags.get_string("rng") == "legacy" ? RngKind::kXoshiro
-                                                       : RngKind::kThreefry;
-  options.ga.mode_cache_capacity =
-      static_cast<std::size_t>(flags.get_int("mode-cache-capacity"));
-  options.islands = static_cast<int>(flags.get_int("islands"));
-  options.migration_interval =
-      static_cast<int>(flags.get_int("migration-interval"));
-  options.migrants = static_cast<int>(flags.get_int("migrants"));
-  {
-    // Fail fast on an inconsistent island topology (wrong engine, migrant
-    // count, ...) with the flag-level message instead of a deep throw.
-    IslandOptions topology;
-    topology.islands = options.islands;
-    topology.migration_interval = options.migration_interval;
-    topology.migrants = options.migrants;
-    try {
-      IslandGa::validate(options.ga, topology);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 1;
-    }
-  }
-
   SynthesisResult result;
   if (!flags.get_string("evaluate-mapping").empty()) {
     // Evaluate-only mode: price a stored implementation candidate.
@@ -281,7 +209,7 @@ int main(int argc, char** argv) {
     }
   } else {
     RunControl control;
-    control.time_budget_seconds = flags.get_double("time-budget");
+    control.time_budget_seconds = job.time_budget;
     control.checkpoint_path = flags.get_string("checkpoint");
     control.checkpoint_every_generations =
         static_cast<int>(flags.get_int("checkpoint-every"));
@@ -317,9 +245,7 @@ int main(int argc, char** argv) {
                 flags.get_string("save-mapping").c_str());
   }
 
-  ReportOptions report;
-  report.include_gantt = flags.get_bool("gantt");
-  report.include_voltage_schedules = flags.get_bool("report-voltages");
+  ReportOptions report = to_report_options(job);
   report.include_timing = flags.get_bool("report-timing");
   std::printf("%s", implementation_report(system, result, report).c_str());
 

@@ -1,9 +1,12 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 namespace mmsyn {
 namespace {
@@ -27,31 +30,61 @@ std::string join_choices(const std::vector<std::string>& choices) {
   return out;
 }
 
+/// The whole of `text` as T: nullopt on any leftover character, an empty
+/// token, a value outside T's range, or a non-finite floating value.
+template <typename T>
+std::optional<T> parse_number(const std::string& text) {
+  T out{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(out)) return std::nullopt;
+  }
+  return out;
+}
+
+std::optional<bool> parse_bool(const std::string& text) {
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  return std::nullopt;
+}
+
 }  // namespace
+
+void Flags::add(const std::string& name, Entry entry) {
+  entries_[name] = std::move(entry);
+  order_.push_back(name);
+}
 
 void Flags::define_int(const std::string& name, std::int64_t default_value,
                        const std::string& help) {
-  entries_[name] = Entry{Kind::kInt, std::to_string(default_value), help};
-  order_.push_back(name);
+  add(name, Entry{.kind = Kind::kInt,
+                  .value = std::to_string(default_value),
+                  .help = help,
+                  .integer = default_value});
 }
 
 void Flags::define_double(const std::string& name, double default_value,
                           const std::string& help) {
-  entries_[name] = Entry{Kind::kDouble, std::to_string(default_value), help};
-  order_.push_back(name);
+  add(name, Entry{.kind = Kind::kDouble,
+                  .value = std::to_string(default_value),
+                  .help = help,
+                  .number = default_value});
 }
 
 void Flags::define_bool(const std::string& name, bool default_value,
                         const std::string& help) {
-  entries_[name] = Entry{Kind::kBool, default_value ? "true" : "false", help};
-  order_.push_back(name);
+  add(name, Entry{.kind = Kind::kBool,
+                  .value = default_value ? "true" : "false",
+                  .help = help,
+                  .boolean = default_value});
 }
 
 void Flags::define_string(const std::string& name,
                           const std::string& default_value,
                           const std::string& help) {
-  entries_[name] = Entry{Kind::kString, default_value, help};
-  order_.push_back(name);
+  add(name, Entry{.kind = Kind::kString, .value = default_value, .help = help});
 }
 
 void Flags::define_choice(const std::string& name,
@@ -59,9 +92,11 @@ void Flags::define_choice(const std::string& name,
                           const std::string& default_value,
                           const std::string& implicit_value,
                           const std::string& help) {
-  entries_[name] =
-      Entry{Kind::kChoice, default_value, help, choices, implicit_value};
-  order_.push_back(name);
+  add(name, Entry{.kind = Kind::kChoice,
+                  .value = default_value,
+                  .help = help,
+                  .choices = choices,
+                  .implicit = implicit_value});
 }
 
 bool Flags::set_value(const std::string& name, const std::string& text) {
@@ -70,17 +105,42 @@ bool Flags::set_value(const std::string& name, const std::string& text) {
     std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
     return false;
   }
-  if (it->second.kind == Kind::kChoice) {
-    const auto& choices = it->second.choices;
-    if (std::find(choices.begin(), choices.end(), text) == choices.end()) {
-      std::fprintf(stderr,
-                   "unknown value '%s' for --%s: registered choices are %s\n",
-                   text.c_str(), name.c_str(),
-                   join_choices(choices).c_str());
-      return false;
-    }
+  Entry& e = it->second;
+  // Numbers and booleans are parsed here, once, so a malformed token is a
+  // parse error naming the flag instead of a silently different value.
+  const char* expected = nullptr;
+  switch (e.kind) {
+    case Kind::kInt:
+      if (const auto v = parse_number<std::int64_t>(text)) e.integer = *v;
+      else expected = "a 64-bit integer";
+      break;
+    case Kind::kDouble:
+      if (const auto v = parse_number<double>(text)) e.number = *v;
+      else expected = "a finite number";
+      break;
+    case Kind::kBool:
+      if (const auto v = parse_bool(text)) e.boolean = *v;
+      else expected = "true/false, 1/0 or yes/no";
+      break;
+    case Kind::kString:
+      break;
+    case Kind::kChoice:
+      if (std::find(e.choices.begin(), e.choices.end(), text) ==
+          e.choices.end()) {
+        std::fprintf(stderr,
+                     "unknown value '%s' for --%s: registered choices are %s\n",
+                     text.c_str(), name.c_str(),
+                     join_choices(e.choices).c_str());
+        return false;
+      }
+      break;
   }
-  it->second.value = text;
+  if (expected != nullptr) {
+    std::fprintf(stderr, "invalid value '%s' for --%s: expected %s\n",
+                 text.c_str(), name.c_str(), expected);
+    return false;
+  }
+  e.value = text;
   return true;
 }
 
@@ -150,16 +210,15 @@ const Flags::Entry& Flags::entry(const std::string& name, Kind kind) const {
 }
 
 std::int64_t Flags::get_int(const std::string& name) const {
-  return std::strtoll(entry(name, Kind::kInt).value.c_str(), nullptr, 10);
+  return entry(name, Kind::kInt).integer;
 }
 
 double Flags::get_double(const std::string& name) const {
-  return std::strtod(entry(name, Kind::kDouble).value.c_str(), nullptr);
+  return entry(name, Kind::kDouble).number;
 }
 
 bool Flags::get_bool(const std::string& name) const {
-  const std::string& v = entry(name, Kind::kBool).value;
-  return v == "true" || v == "1" || v == "yes";
+  return entry(name, Kind::kBool).boolean;
 }
 
 const std::string& Flags::get_string(const std::string& name) const {

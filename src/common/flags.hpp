@@ -1,7 +1,11 @@
 // Minimal command-line flag parsing for the bench/example binaries.
 //
 // Supports `--name value`, `--name=value` and boolean `--name`. Unknown
-// flags are an error so typos in experiment scripts fail loudly.
+// flags are an error so typos in experiment scripts fail loudly, and so
+// are malformed values: an integer or number must be the whole token
+// (`--seed 1x` fails), an integer must fit in 64 bits, a number must be
+// finite (`--time-budget nan` fails), and a boolean must be one of
+// true/false, 1/0 or yes/no.
 #pragma once
 
 #include <cstdint>
@@ -39,8 +43,9 @@ public:
                      const std::string& implicit_value,
                      const std::string& help);
 
-  /// Parses argv (excluding argv[0]); returns false and prints usage on
-  /// error or when `--help` is present.
+  /// Parses argv (excluding argv[0]); returns false on error (printing a
+  /// message that names the flag and the bad token) or when `--help` is
+  /// present (printing usage).
   bool parse(int argc, char** argv);
 
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
@@ -57,9 +62,13 @@ private:
     Kind kind;
     std::string value;  // textual representation
     std::string help;
-    std::vector<std::string> choices;  // kChoice: allowed values
-    std::string implicit;              // kChoice: value for bare `--name`
+    std::vector<std::string> choices{};  // kChoice: allowed values
+    std::string implicit{};              // kChoice: value for bare `--name`
+    std::int64_t integer = 0;            // kInt: parsed value
+    double number = 0.0;                 // kDouble: parsed value
+    bool boolean = false;                // kBool: parsed value
   };
+  void add(const std::string& name, Entry entry);
   bool set_value(const std::string& name, const std::string& text);
   const Entry& entry(const std::string& name, Kind kind) const;
 

@@ -16,8 +16,6 @@
 #include "core/report.hpp"
 #include "core/run_control.hpp"
 #include "model/io.hpp"
-#include "pipeline/backends.hpp"
-#include "power/backends.hpp"
 #include "server/retry.hpp"
 
 namespace mmsyn {
@@ -184,6 +182,15 @@ void JobServer::start() {
 
 SubmitOutcome JobServer::submit(const SubmitRequest& request) {
   SubmitOutcome out;
+
+  // Invalid options are refused before anything is journaled: the job
+  // could never run, and a typed rejection names the flag to fix.
+  try {
+    validate(request.options);
+  } catch (const std::invalid_argument& e) {
+    out.reject = {RejectCode::kBadRequest, e.what()};
+    return out;
+  }
 
   // Parse at admission so garbage is rejected synchronously with a typed
   // kParseError instead of burning a worker slot. Semantic validation
@@ -410,22 +417,11 @@ void JobServer::run_job(std::uint64_t job_id) {
         throw std::runtime_error(message);
       }
 
-      SynthesisOptions options;
-      options.use_dvs = resolve_dvs_backend(job_options.dvs_backend.empty()
-                                                ? dvs_backend_name(false)
-                                                : job_options.dvs_backend);
-      options.scheduling_policy = resolve_scheduler_backend(
-          job_options.scheduler_backend.empty()
-              ? scheduler_backends().front().name
-              : job_options.scheduler_backend);
-      options.power = resolve_power_backend(job_options.power_backend.empty()
-                                                ? power_backends().front().name
-                                                : job_options.power_backend);
-      options.consider_probabilities = job_options.consider_probabilities;
-      options.seed = job_options.seed;
-      options.ga.population_size = job_options.population;
-      options.ga.max_generations = job_options.generations;
-      options.ga.num_threads = std::max(1, job_options.threads);
+      // Admission validated these options; a job replayed from an older
+      // journal may not have been, so an invalid one fails here and is
+      // quarantined like any other deterministic failure.
+      validate(job_options);
+      const SynthesisOptions options = to_synthesis_options(job_options);
 
       SynthesisResult result;
       try {
@@ -479,13 +475,10 @@ void JobServer::run_job(std::uint64_t job_id) {
       reply.feasible = result.evaluation.feasible();
       reply.avg_power_true = result.evaluation.avg_power_true;
 
-      ReportOptions report_options;
-      report_options.include_gantt = job_options.report_gantt;
-      report_options.include_voltage_schedules = job_options.report_voltages;
       // Timing never goes into stored reports: they must be
       // byte-identical across runs, restarts and the CLI.
-      report_options.include_timing = false;
-      reply.report = implementation_report(system, result, report_options);
+      reply.report = implementation_report(system, result,
+                                           to_report_options(job_options));
 
       complete_job_locked(job, std::move(reply), lock);
       return;

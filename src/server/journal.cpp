@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/byte_codec.hpp"
 #include "common/checksum.hpp"
 #include "common/durable_file.hpp"
 #include "common/failpoint.hpp"
@@ -27,130 +28,66 @@ constexpr std::uint32_t kMaxRecord = 64u << 20;
 failpoint::Site fp_journal_write{"server.journal.write"};
 failpoint::Site fp_result_write{"job.result.write"};
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+using Reader = ByteReader<JournalError>;
+
+std::uint32_t u32_at(std::string_view bytes, std::size_t pos) {
+  return Reader(bytes.substr(pos, 4)).u32();
 }
 
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
+/// `MMSYNWAL` + u32 version: the first bytes of every journal file.
+std::string journal_header() {
+  ByteWriter w;
+  w.raw(std::string_view(kMagic, sizeof kMagic));
+  w.u32(kJournalVersion);
+  return w.take();
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+/// One on-disk record: u32 len | payload | u32 crc32(payload).
+std::string frame_record(std::string_view payload) {
+  ByteWriter w;
+  w.u32(static_cast<std::uint32_t>(payload.size()));
+  w.raw(payload);
+  w.u32(crc32(payload));
+  return w.take();
 }
 
-void put_str(std::string& out, std::string_view s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.append(s.data(), s.size());
-}
-
-/// Record-payload reader; any structural problem throws JournalError,
-/// which replay treats as "corrupt record — stop here".
-class PayloadReader {
-public:
-  explicit PayloadReader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint32_t u32() {
-    need(4);
-    const std::uint32_t v = get_u32(data_.data() + pos_);
-    pos_ += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    const std::uint64_t lo = u32();
-    return lo | (static_cast<std::uint64_t>(u32()) << 32);
-  }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  void expect_end() const {
-    if (pos_ != data_.size()) throw JournalError("trailing bytes in record");
-  }
-
-private:
-  void need(std::size_t n) const {
-    if (data_.size() - pos_ < n) throw JournalError("truncated record");
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-void put_options(std::string& out, const JobOptions& o) {
-  put_u64(out, o.seed);
-  put_u32(out, static_cast<std::uint32_t>(o.population));
-  put_u32(out, static_cast<std::uint32_t>(o.generations));
-  put_u32(out, static_cast<std::uint32_t>(o.threads));
-  put_str(out, o.dvs_backend);
-  put_str(out, o.scheduler_backend);
-  put_str(out, o.power_backend);
-  out.push_back(o.consider_probabilities ? 1 : 0);
-  std::uint64_t bits;
-  std::memcpy(&bits, &o.time_budget, sizeof bits);
-  put_u64(out, bits);
-  out.push_back(o.report_gantt ? 1 : 0);
-  out.push_back(o.report_voltages ? 1 : 0);
-}
-
-JobOptions get_options(PayloadReader& r) {
-  JobOptions o;
-  o.seed = r.u64();
-  o.population = static_cast<std::int32_t>(r.u32());
-  o.generations = static_cast<std::int32_t>(r.u32());
-  o.threads = static_cast<std::int32_t>(r.u32());
-  o.dvs_backend = r.str();
-  o.scheduler_backend = r.str();
-  o.power_backend = r.str();
-  o.consider_probabilities = r.boolean();
-  o.time_budget = r.f64();
-  o.report_gantt = r.boolean();
-  o.report_voltages = r.boolean();
-  return o;
+/// Every record payload opens with its type byte and the job id.
+ByteWriter record(JournalRecordType type, std::uint64_t job_id) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(type));
+  w.u64(job_id);
+  return w;
 }
 
 std::string encode_accept(std::uint64_t job_id, std::uint64_t fingerprint,
                           const JobOptions& options,
                           const std::string& system_text) {
-  std::string p;
-  p.push_back(static_cast<char>(JournalRecordType::kAccept));
-  put_u64(p, job_id);
-  put_u64(p, fingerprint);
-  put_options(p, options);
-  put_str(p, system_text);
-  return p;
+  ByteWriter w = record(JournalRecordType::kAccept, job_id);
+  w.u64(fingerprint);
+  write_job_options(w, options);
+  w.str(system_text);
+  return w.take();
+}
+
+std::string encode_attempt(std::uint64_t job_id, int attempt) {
+  ByteWriter w = record(JournalRecordType::kAttempt, job_id);
+  w.u32(static_cast<std::uint32_t>(attempt));
+  return w.take();
 }
 
 std::string encode_complete(const JobResultReply& result) {
-  std::string p;
-  p.push_back(static_cast<char>(JournalRecordType::kComplete));
-  put_u64(p, result.job_id);
-  p.push_back(static_cast<char>(result.outcome));
-  p.push_back(result.feasible ? 1 : 0);
-  std::uint64_t bits;
-  std::memcpy(&bits, &result.avg_power_true, sizeof bits);
-  put_u64(p, bits);
-  put_str(p, result.report);
-  return p;
+  ByteWriter w = record(JournalRecordType::kComplete, result.job_id);
+  w.u8(static_cast<std::uint8_t>(result.outcome));
+  w.boolean(result.feasible);
+  w.f64(result.avg_power_true);
+  w.str(result.report);
+  return w.take();
+}
+
+std::string encode_quarantine(std::uint64_t job_id, const std::string& error) {
+  ByteWriter w = record(JournalRecordType::kQuarantine, job_id);
+  w.str(error);
+  return w.take();
 }
 
 /// Applies one parsed record payload to the recovery state. Unknown job
@@ -158,14 +95,14 @@ std::string encode_complete(const JobResultReply& result) {
 /// region) throw — replay stops at structurally valid but unreplayable
 /// records the same way it stops at corrupt ones.
 void apply_record(JournalRecovery& out, std::string_view payload) {
-  PayloadReader r(payload);
+  Reader r(payload);
   const auto type = static_cast<JournalRecordType>(r.u8());
   switch (type) {
     case JournalRecordType::kAccept: {
       JournalJob job;
       job.job_id = r.u64();
       job.fingerprint = r.u64();
-      job.options = get_options(r);
+      job.options = read_job_options(r);
       job.system_text = r.str();
       r.expect_end();
       if (job.job_id + 1 > out.next_job_id) out.next_job_id = job.job_id + 1;
@@ -227,7 +164,7 @@ JournalRecovery replay_journal_bytes(std::string_view bytes,
   if (std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
     throw JournalError("bad magic");
   }
-  const std::uint32_t version = get_u32(bytes.data() + sizeof(kMagic));
+  const std::uint32_t version = u32_at(bytes, sizeof kMagic);
   if (version != kJournalVersion) {
     throw JournalError("unsupported version " + std::to_string(version));
   }
@@ -242,14 +179,14 @@ JournalRecovery replay_journal_bytes(std::string_view bytes,
                           std::to_string(pos));
       break;
     }
-    const std::uint32_t len = get_u32(bytes.data() + pos);
+    const std::uint32_t len = u32_at(bytes, pos);
     if (len > kMaxRecord || bytes.size() - pos - 8 < len) {
       out.notes.push_back("torn tail: incomplete record at offset " +
                           std::to_string(pos));
       break;
     }
     const std::string_view payload = bytes.substr(pos + 4, len);
-    const std::uint32_t stored_crc = get_u32(bytes.data() + pos + 4 + len);
+    const std::uint32_t stored_crc = u32_at(bytes, pos + 4 + len);
     if (stored_crc != crc32(payload)) {
       out.notes.push_back("corrupt record (CRC mismatch) at offset " +
                           std::to_string(pos) + "; tail dropped");
@@ -296,8 +233,7 @@ JournalRecovery JobJournal::open(const std::string& path) {
   std::size_t valid_size = 0;
   if (bytes.empty()) {
     // Fresh journal: write the header durably before accepting anything.
-    std::string header(kMagic, sizeof kMagic);
-    put_u32(header, kJournalVersion);
+    const std::string header = journal_header();
     write_file_durable(path, header);
     fsync_parent_dir(path);
     valid_size = header.size();
@@ -334,11 +270,7 @@ void JobJournal::append_record(JournalRecordType type,
     if (failpoint::inject(fp_result_write)) corrupt = true;
   }
 
-  std::string rec;
-  rec.reserve(payload.size() + 8);
-  put_u32(rec, static_cast<std::uint32_t>(payload.size()));
-  rec += payload;
-  put_u32(rec, crc32(payload));
+  std::string rec = frame_record(payload);
   if (corrupt) rec.back() = static_cast<char>(rec.back() ^ 0x5a);
 
   const char* p = rec.data();
@@ -366,11 +298,7 @@ void JobJournal::append_accept(std::uint64_t job_id, std::uint64_t fingerprint,
 }
 
 void JobJournal::append_attempt(std::uint64_t job_id, int attempt) {
-  std::string p;
-  p.push_back(static_cast<char>(JournalRecordType::kAttempt));
-  put_u64(p, job_id);
-  put_u32(p, static_cast<std::uint32_t>(attempt));
-  append_record(JournalRecordType::kAttempt, p);
+  append_record(JournalRecordType::kAttempt, encode_attempt(job_id, attempt));
 }
 
 void JobJournal::append_complete(const JobResultReply& result) {
@@ -379,54 +307,35 @@ void JobJournal::append_complete(const JobResultReply& result) {
 
 void JobJournal::append_quarantine(std::uint64_t job_id,
                                    const std::string& error) {
-  std::string p;
-  p.push_back(static_cast<char>(JournalRecordType::kQuarantine));
-  put_u64(p, job_id);
-  put_str(p, error);
-  append_record(JournalRecordType::kQuarantine, p);
+  append_record(JournalRecordType::kQuarantine,
+                encode_quarantine(job_id, error));
 }
 
 void JobJournal::append_drained(std::uint64_t job_id) {
-  std::string p;
-  p.push_back(static_cast<char>(JournalRecordType::kDrained));
-  put_u64(p, job_id);
-  append_record(JournalRecordType::kDrained, p);
+  append_record(JournalRecordType::kDrained,
+                record(JournalRecordType::kDrained, job_id).take());
 }
 
 void JobJournal::compact(const JournalRecovery& state,
                          const std::vector<std::uint64_t>& forget) {
   if (path_.empty()) throw JournalError("compact before open");
 
-  std::string image(kMagic, sizeof kMagic);
-  put_u32(image, kJournalVersion);
-  auto add = [&image](const std::string& payload) {
-    put_u32(image, static_cast<std::uint32_t>(payload.size()));
-    image += payload;
-    put_u32(image, crc32(payload));
-  };
+  std::string image = journal_header();
   for (const auto& [id, job] : state.jobs) {
     bool skip = false;
     for (const std::uint64_t f : forget) skip = skip || f == id;
     if (skip) continue;
-    add(encode_accept(job.job_id, job.fingerprint, job.options,
-                      job.system_text));
+    image += frame_record(encode_accept(job.job_id, job.fingerprint,
+                                       job.options, job.system_text));
     // Crash-attempt history survives compaction as a run of kAttempt
     // records, so a job one crash away from quarantine stays one away.
-    for (int i = 0; i < job.crash_attempts; ++i) {
-      std::string p;
-      p.push_back(static_cast<char>(JournalRecordType::kAttempt));
-      put_u64(p, job.job_id);
-      put_u32(p, static_cast<std::uint32_t>(i + 1));
-      add(p);
-    }
+    for (int i = 0; i < job.crash_attempts; ++i)
+      image += frame_record(encode_attempt(job.job_id, i + 1));
     if (job.completed) {
-      add(encode_complete(job.result));
+      image += frame_record(encode_complete(job.result));
     } else if (job.quarantined) {
-      std::string p;
-      p.push_back(static_cast<char>(JournalRecordType::kQuarantine));
-      put_u64(p, job.job_id);
-      put_str(p, job.quarantine_error);
-      add(p);
+      image +=
+          frame_record(encode_quarantine(job.job_id, job.quarantine_error));
     }
   }
 

@@ -13,10 +13,11 @@
 //   kDrained     graceful drain checkpointed the job mid-run; resets the
 //                crash-attempt count (the interruption was deliberate)
 //
-// On-disk format, sharing the checkpoint container's idioms
-// (core/run_control.cpp): header `MMSYNWAL` + u32 version, then
-// append-only records of `u32 len | payload | u32 crc32(payload)`. Each
-// append is fsync'd (failpoint `server.journal.write`; result appends
+// On-disk format, written with the byte codec the checkpoint container
+// and the wire protocol share (common/byte_codec.hpp; the kAccept record
+// carries JobOptions in the wire's own encoding): header `MMSYNWAL` + u32
+// version, then append-only records of `u32 len | payload | u32
+// crc32(payload)`. Each append is fsync'd (failpoint `server.journal.write`; result appends
 // additionally pass `job.result.write`). Recovery scans until the first
 // torn or corrupt record, truncates the tail there, and replays the
 // prefix — exactly the torn-write discipline of the checkpoint rotation,

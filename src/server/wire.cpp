@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/byte_codec.hpp"
 #include "common/checksum.hpp"
 
 namespace mmsyn {
@@ -18,120 +19,7 @@ constexpr std::uint32_t kFrameMagic = 0x4d4d5750u;  // "MMWP" (LE bytes PWMM)
 /// corrupt length field from driving a multi-gigabyte allocation.
 constexpr std::uint32_t kMaxPayload = 64u << 20;
 
-// Little-endian byte writer/reader, same shape as the checkpoint
-// container's (core/run_control.cpp) so the two formats stay idiomatic
-// twins. Reader throws WireError instead of CheckpointError.
-class Writer {
-public:
-  void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void u16(std::uint16_t v) {
-    for (int i = 0; i < 2; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f64(double v) {
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-  }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    out_.append(s.data(), s.size());
-  }
-
-  [[nodiscard]] std::string take() { return std::move(out_); }
-
-private:
-  std::string out_;
-};
-
-class Reader {
-public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() {
-    need(1);
-    return static_cast<std::uint8_t>(data_[pos_++]);
-  }
-  std::uint16_t u16() {
-    std::uint16_t v = 0;
-    for (int i = 0; i < 2; ++i) v |= static_cast<std::uint16_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
-    return v;
-  }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() {
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-  }
-  bool boolean() { return u8() != 0; }
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(data_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  void expect_end() const {
-    if (pos_ != data_.size()) throw WireError("trailing bytes in payload");
-  }
-
-private:
-  void need(std::size_t n) const {
-    if (data_.size() - pos_ < n) throw WireError("truncated payload");
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-void put_options(Writer& w, const JobOptions& o) {
-  w.u64(o.seed);
-  w.i32(o.population);
-  w.i32(o.generations);
-  w.i32(o.threads);
-  w.str(o.dvs_backend);
-  w.str(o.scheduler_backend);
-  w.str(o.power_backend);
-  w.boolean(o.consider_probabilities);
-  w.f64(o.time_budget);
-  w.boolean(o.report_gantt);
-  w.boolean(o.report_voltages);
-}
-
-JobOptions get_options(Reader& r) {
-  JobOptions o;
-  o.seed = r.u64();
-  o.population = r.i32();
-  o.generations = r.i32();
-  o.threads = r.i32();
-  o.dvs_backend = r.str();
-  o.scheduler_backend = r.str();
-  o.power_backend = r.str();
-  o.consider_probabilities = r.boolean();
-  o.time_budget = r.f64();
-  o.report_gantt = r.boolean();
-  o.report_voltages = r.boolean();
-  return o;
-}
+using Reader = ByteReader<WireError>;
 
 /// write(2) loop tolerating EINTR; throws WireError on hard failure.
 void write_all(int fd, const char* p, std::size_t n) {
@@ -192,8 +80,8 @@ std::uint64_t job_fingerprint(std::string_view system_text,
 }
 
 std::string encode_submit(const SubmitRequest& request) {
-  Writer w;
-  put_options(w, request.options);
+  ByteWriter w;
+  write_job_options(w, request.options);
   w.str(request.system_text);
   return w.take();
 }
@@ -201,14 +89,14 @@ std::string encode_submit(const SubmitRequest& request) {
 SubmitRequest decode_submit(std::string_view payload) {
   Reader r(payload);
   SubmitRequest req;
-  req.options = get_options(r);
+  req.options = read_job_options(r);
   req.system_text = r.str();
   r.expect_end();
   return req;
 }
 
 std::string encode_submit_ok(const SubmitReply& reply) {
-  Writer w;
+  ByteWriter w;
   w.u64(reply.job_id);
   w.boolean(reply.cached);
   return w.take();
@@ -224,7 +112,7 @@ SubmitReply decode_submit_ok(std::string_view payload) {
 }
 
 std::string encode_reject(const RejectReply& reply) {
-  Writer w;
+  ByteWriter w;
   w.u16(static_cast<std::uint16_t>(reply.code));
   w.str(reply.message);
   return w.take();
@@ -240,7 +128,7 @@ RejectReply decode_reject(std::string_view payload) {
 }
 
 std::string encode_wait(const WaitRequest& request) {
-  Writer w;
+  ByteWriter w;
   w.u64(request.job_id);
   return w.take();
 }
@@ -254,7 +142,7 @@ WaitRequest decode_wait(std::string_view payload) {
 }
 
 std::string encode_job_result(const JobResultReply& reply) {
-  Writer w;
+  ByteWriter w;
   w.u64(reply.job_id);
   w.u8(static_cast<std::uint8_t>(reply.outcome));
   w.boolean(reply.feasible);
@@ -276,7 +164,7 @@ JobResultReply decode_job_result(std::string_view payload) {
 }
 
 std::string encode_stats(const StatsReply& reply) {
-  Writer w;
+  ByteWriter w;
   w.u64(reply.accepted);
   w.u64(reply.completed);
   w.u64(reply.quarantined);
@@ -311,25 +199,17 @@ StatsReply decode_stats(std::string_view payload) {
 
 void send_frame(int fd, MessageType type, std::string_view payload) {
   if (payload.size() > kMaxPayload) throw WireError("payload too large");
-  Writer w;
+  // One coalesced buffer per frame: a frame is small relative to the
+  // payload, and a single write keeps concurrent frames on a shared fd
+  // impossible to interleave (each connection is single-threaded anyway).
+  ByteWriter w;
   w.u32(kFrameMagic);
   w.u16(kWireVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  const std::string header = w.take();
-
-  Writer t;
-  t.u32(crc32(payload));
-  const std::string trailer = t.take();
-
-  // One coalesced buffer per frame: a frame is small relative to the
-  // payload, and a single write keeps concurrent frames on a shared fd
-  // impossible to interleave (each connection is single-threaded anyway).
-  std::string buf;
-  buf.reserve(header.size() + payload.size() + trailer.size());
-  buf += header;
-  buf.append(payload.data(), payload.size());
-  buf += trailer;
+  w.raw(payload);
+  w.u32(crc32(payload));
+  const std::string buf = w.take();
   write_all(fd, buf.data(), buf.size());
 }
 

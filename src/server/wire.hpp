@@ -29,6 +29,8 @@
 #include <string>
 #include <string_view>
 
+#include "core/job_options.hpp"
+
 namespace mmsyn {
 
 /// Framing/protocol failure: truncated frame, bad magic, CRC mismatch,
@@ -72,37 +74,6 @@ enum class JobOutcome : std::uint8_t {
   kCancelled = 2,        ///< cooperatively cancelled for another reason
   kQuarantined = 3,      ///< failed deterministically twice (poisoned
                          ///< model); the report carries the error
-};
-
-/// Synthesis options of one job — the wire subset of the CLI flags.
-/// Every field defaults to the synthesize_file default, so a job
-/// submitted with defaults is byte-identical to the bare CLI run.
-struct JobOptions {
-  std::uint64_t seed = 1;
-  std::int32_t population = 64;
-  std::int32_t generations = 600;
-  /// Fitness-evaluation threads *inside* this job (0 = all cores). The
-  /// result is identical for any value; server concurrency comes from
-  /// worker slots, so 1 is the sensible default.
-  std::int32_t threads = 1;
-  /// Backend names resolved through pipeline/backends (empty = default).
-  std::string dvs_backend;
-  std::string scheduler_backend;
-  /// Power-model backend resolved through power/backends (empty =
-  /// "paper"). Folded into the job fingerprint, so a thermal or dpm-idle
-  /// result can never be served from a paper cache entry.
-  std::string power_backend;
-  bool consider_probabilities = true;
-  /// Per-job wall-clock budget in seconds; 0 = the server default.
-  /// NOTE: budgeted jobs stop at a wall-clock-dependent generation, so
-  /// their (partial) results are excluded from the cross-job cache.
-  double time_budget = 0.0;
-  /// Report shape (timing is always excluded server-side so stored
-  /// reports are byte-identical across runs and restarts).
-  bool report_gantt = true;
-  bool report_voltages = false;
-
-  friend bool operator==(const JobOptions&, const JobOptions&) = default;
 };
 
 /// Cache/identity key of a submission: FNV-1a over the system text and

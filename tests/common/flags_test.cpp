@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 namespace mmsyn {
@@ -146,6 +149,118 @@ TEST(Flags, ChoiceReadsBackAsStringOnly) {
   flags.define_choice("scheduler", {"a", "b"}, "a", "a", "backend");
   EXPECT_EQ(flags.get_string("scheduler"), "a");
   EXPECT_THROW((void)flags.get_int("scheduler"), std::logic_error);
+}
+
+struct TokenCase {
+  std::string flag;
+  std::string token;
+
+  friend void PrintTo(const TokenCase& c, std::ostream* os) {
+    *os << "--" << c.flag << " '" << c.token << "'";
+  }
+};
+
+class FlagsRejectsToken : public ::testing::TestWithParam<TokenCase> {};
+
+TEST_P(FlagsRejectsToken, ParseFailsAndNamesFlagAndToken) {
+  const TokenCase& c = GetParam();
+  // A bare boolean flag takes no value, so its token only binds with `=`.
+  const bool spaced_binds = c.flag != "verbose";
+  for (const bool equals : {true, false}) {
+    if (!equals && !spaced_binds) continue;
+    Flags flags = make_flags();
+    Argv argv(equals ? std::vector<std::string>{"--" + c.flag + "=" + c.token}
+                     : std::vector<std::string>{"--" + c.flag, c.token});
+    ::testing::internal::CaptureStderr();
+    const bool ok = flags.parse(argv.argc(), argv.argv());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(ok) << "--" << c.flag << " '" << c.token << "'";
+    EXPECT_NE(err.find("--" + c.flag), std::string::npos) << err;
+    EXPECT_NE(err.find("'" + c.token + "'"), std::string::npos) << err;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Malformed, FlagsRejectsToken,
+    ::testing::Values(TokenCase{"count", "abc"}, TokenCase{"count", "1x"},
+                      TokenCase{"count", ""}, TokenCase{"count", "1.5"},
+                      TokenCase{"count", " 7"}, TokenCase{"count", "7 "},
+                      TokenCase{"count", "0x10"},
+                      TokenCase{"count", "9223372036854775808"},
+                      TokenCase{"count", "-9223372036854775809"},
+                      TokenCase{"ratio", "nan"}, TokenCase{"ratio", "NaN"},
+                      TokenCase{"ratio", "inf"}, TokenCase{"ratio", "-inf"},
+                      TokenCase{"ratio", "1e999"}, TokenCase{"ratio", "0.5s"},
+                      TokenCase{"ratio", "abc"}, TokenCase{"ratio", ""},
+                      TokenCase{"verbose", "maybe"},
+                      TokenCase{"verbose", "TRUE"},
+                      TokenCase{"verbose", ""}));
+
+struct IntCase {
+  std::string token;
+  std::int64_t value;
+};
+
+class FlagsAcceptsInt : public ::testing::TestWithParam<IntCase> {};
+
+TEST_P(FlagsAcceptsInt, ParsesWholeToken) {
+  Flags flags = make_flags();
+  Argv argv({"--count=" + GetParam().token});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.get_int("count"), GetParam().value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, FlagsAcceptsInt,
+    ::testing::Values(IntCase{"0", 0}, IntCase{"-1", -1}, IntCase{"007", 7},
+                      IntCase{"9223372036854775807",
+                              std::numeric_limits<std::int64_t>::max()},
+                      IntCase{"-9223372036854775808",
+                              std::numeric_limits<std::int64_t>::min()}));
+
+struct DoubleCase {
+  std::string token;
+  double value;
+};
+
+class FlagsAcceptsDouble : public ::testing::TestWithParam<DoubleCase> {};
+
+TEST_P(FlagsAcceptsDouble, ParsesWholeToken) {
+  Flags flags = make_flags();
+  Argv argv({"--ratio", GetParam().token});
+  ASSERT_TRUE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.get_double("ratio"), GetParam().value);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Boundaries, FlagsAcceptsDouble,
+    ::testing::Values(DoubleCase{"0", 0.0}, DoubleCase{"-1", -1.0},
+                      DoubleCase{"2.5", 2.5}, DoubleCase{"1e-9", 1e-9},
+                      DoubleCase{"1.7976931348623157e308",
+                                 std::numeric_limits<double>::max()}));
+
+TEST(Flags, BooleanSpellings) {
+  for (const auto& [token, value] :
+       std::vector<std::pair<std::string, bool>>{{"true", true},
+                                                 {"1", true},
+                                                 {"yes", true},
+                                                 {"false", false},
+                                                 {"0", false},
+                                                 {"no", false}}) {
+    Flags flags = make_flags();
+    flags.define_bool("on", true, "default-on switch");
+    Argv argv({"--verbose=" + token, "--on=" + token});
+    ASSERT_TRUE(flags.parse(argv.argc(), argv.argv())) << token;
+    EXPECT_EQ(flags.get_bool("verbose"), value) << token;
+    EXPECT_EQ(flags.get_bool("on"), value) << token;
+  }
+}
+
+TEST(Flags, RejectedTokenLeavesPreviousValue) {
+  Flags flags = make_flags();
+  Argv argv({"--count=9", "--count=8x"});
+  EXPECT_FALSE(flags.parse(argv.argc(), argv.argv()));
+  EXPECT_EQ(flags.get_int("count"), 9);
 }
 
 }  // namespace

@@ -8,10 +8,12 @@
 #include <sys/stat.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/failpoint.hpp"
 #include "model/io.hpp"
@@ -184,8 +186,9 @@ TEST(JobServer, PoisonJobIsQuarantinedWithoutAffectingOthers) {
 
 TEST(JobServer, UndersizedPopulationFailsTypedAndServerSurvives) {
   // Regression: a population smaller than elite_count + 1 used to crash
-  // the worker (and with it the whole daemon). It must now end in a typed
-  // failed outcome that names the bound, with the server still serving.
+  // the worker (and with it the whole daemon). Admission now refuses it
+  // with a typed kBadRequest that names the bound; nothing is journaled
+  // and the server keeps serving.
   const std::string dir = scratch_dir("tiny_population");
   JobServer server(base_options(dir));
   server.start();
@@ -195,17 +198,91 @@ TEST(JobServer, UndersizedPopulationFailsTypedAndServerSurvives) {
   tiny.options = fast_options(8);
   tiny.options.population = 1;
   const SubmitOutcome submitted = server.submit(tiny);
-  ASSERT_TRUE(submitted.accepted);
+  ASSERT_FALSE(submitted.accepted);
+  EXPECT_EQ(submitted.reject.code, RejectCode::kBadRequest);
+  EXPECT_NE(submitted.reject.message.find("--population=1"), std::string::npos)
+      << submitted.reject.message;
+  EXPECT_EQ(server.stats().accepted, 0u);
 
-  const WaitOutcome result = server.wait(submitted.ok.job_id);
+  tiny.options.population = 16;
+  const SubmitOutcome healthy = server.submit(tiny);
+  ASSERT_TRUE(healthy.accepted);
+  const WaitOutcome result = server.wait(healthy.ok.job_id);
   ASSERT_TRUE(result.ok);
-  EXPECT_EQ(result.result.outcome, JobOutcome::kQuarantined);
-  EXPECT_NE(result.result.report.find("--population=1"), std::string::npos)
-      << result.result.report;
+  EXPECT_EQ(result.result.outcome, JobOutcome::kOk);
 
   const StatsReply stats = server.stats();
-  EXPECT_EQ(stats.quarantined, 1u);
-  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.accepted, 1u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(stats.completed, 1u);
+}
+
+TEST(JobServer, InvalidOptionsAreRejectedBeforeJournaling) {
+  const std::string dir = scratch_dir("invalid_options");
+  std::vector<JobOptions> invalid;
+  const auto add = [&invalid](auto&& mutate) {
+    JobOptions o = fast_options(3);
+    mutate(o);
+    invalid.push_back(o);
+  };
+  add([](JobOptions& o) { o.threads = -1; });
+  add([](JobOptions& o) { o.generations = -1; });
+  add([](JobOptions& o) { o.time_budget = -1.0; });
+  add([](JobOptions& o) { o.time_budget = std::nan(""); });
+  add([](JobOptions& o) { o.time_budget = HUGE_VAL; });
+  add([](JobOptions& o) { o.population = 0; });
+  add([](JobOptions& o) { o.dvs_backend = "bogus"; });
+  add([](JobOptions& o) { o.scheduler_backend = "bogus"; });
+  add([](JobOptions& o) { o.power_backend = "bogus"; });
+  {
+    JobServer server(base_options(dir));
+    server.start();
+    for (const JobOptions& options : invalid) {
+      SubmitRequest request;
+      request.system_text = small_system_text();
+      request.options = options;
+      const SubmitOutcome out = server.submit(request);
+      ASSERT_FALSE(out.accepted);
+      EXPECT_EQ(out.reject.code, RejectCode::kBadRequest) << out.reject.message;
+      EXPECT_FALSE(out.reject.message.empty());
+    }
+    EXPECT_EQ(server.stats().accepted, 0u);
+    server.drain_and_stop();
+  }
+  JobJournal journal;
+  EXPECT_TRUE(journal.open(dir + "/jobs.wal").jobs.empty());
+}
+
+TEST(JobServer, InvalidJobFromOlderJournalIsQuarantined) {
+  // A journal written before admission validated options can still hold
+  // a job no run can honour; recovery runs it into a typed quarantine
+  // instead of a crash.
+  const std::string dir = scratch_dir("old_invalid_job");
+  const std::string text = small_system_text();
+  JobOptions tiny = fast_options(4);
+  tiny.population = 1;
+  JobOptions unknown_backend = fast_options(5);
+  unknown_backend.dvs_backend = "bogus";
+  {
+    JobJournal journal;
+    (void)journal.open(dir + "/jobs.wal");
+    journal.append_accept(1, job_fingerprint(text, tiny), tiny, text);
+    journal.append_accept(2, job_fingerprint(text, unknown_backend),
+                          unknown_backend, text);
+  }
+  JobServer server(base_options(dir));
+  server.start();
+  const WaitOutcome first = server.wait(1);
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(first.result.outcome, JobOutcome::kQuarantined);
+  EXPECT_NE(first.result.report.find("--population=1"), std::string::npos)
+      << first.result.report;
+  const WaitOutcome second = server.wait(2);
+  ASSERT_TRUE(second.ok);
+  EXPECT_EQ(second.result.outcome, JobOutcome::kQuarantined);
+  EXPECT_NE(second.result.report.find("bogus"), std::string::npos)
+      << second.result.report;
+  EXPECT_EQ(server.stats().quarantined, 2u);
 }
 
 TEST(JobServer, BudgetExhaustionIsTypedAndCarriesPartialResult) {

@@ -201,6 +201,12 @@ echo "== address-sanitizer ctest =="
 # allocator and every SoA scheduling/DVS path run under the sanitizers.
 (cd build-asan && ctest --output-on-failure -j 2)
 
+echo "== address-sanitizer option fuzzer =="
+# Seeded random argv vectors and server jobs (valid, boundary, garbage)
+# must end in a typed error or an auditor-clean result, never a signal;
+# the ctest run above includes it, this leg names it in the CI summary.
+./build-asan/tests/test_server --gtest_filter='OptionFuzz.*'
+
 echo "== address-sanitizer crash torture (failpoints armed) =="
 # Recovery paths (bounded retries, generation fallback, cache quarantine)
 # must be leak- and overflow-clean while faults actually fire. The torture
@@ -226,6 +232,9 @@ cmake -B build-ubsan -S . -DMMSYN_SANITIZE=undefined > /dev/null
 cmake --build build-ubsan -j "$JOBS"
 echo "== undefined-behaviour-sanitizer ctest =="
 (cd build-ubsan && ctest --output-on-failure -j 2)
+
+echo "== undefined-behaviour-sanitizer option fuzzer =="
+./build-ubsan/tests/test_server --gtest_filter='OptionFuzz.*'
 
 echo "== undefined-behaviour-sanitizer power backends =="
 ./build-ubsan/examples/synthesize_file --input "$IN" $ARGS \

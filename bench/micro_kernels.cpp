@@ -1,11 +1,13 @@
 // Micro-benchmarks of the synthesis hot path: list scheduling, DVS-graph
-// construction, and PV-DVS, each timed twice — once through the frozen
-// pre-rewrite kernels (bench/reference_kernels.*) and once through the
-// data-oriented library kernels — on identical inputs. The two results are
-// compared before any number is reported, so a speedup claim is only ever
-// printed for matching behaviour: list scheduling and graph construction
-// must be *bit-identical*; PV-DVS must agree to 1e-6 relative on energies
-// (its baseline froze the old bisection voltage solver, which the library
+// construction, PV-DVS and core allocation, each timed twice — once
+// through the frozen pre-rewrite kernels (bench/reference_kernels.*) and
+// once through the data-oriented library kernels — on identical inputs.
+// The two results are compared before any number is reported, so a
+// speedup claim is only ever printed for matching behaviour: list
+// scheduling and graph construction must be *bit-identical*, core
+// allocation exactly equal over a seeded genome chain on every mul and the
+// smart phone; PV-DVS must agree to 1e-6 relative on energies (its
+// baseline froze the old bisection voltage solver, which the library
 // replaced with an exact closed form — values differ in the low bits, see
 // DESIGN.md §12). The speedup ratio is machine-independent (both sides run
 // in the same process), which is what the CI perf gate in tools/ci.sh
@@ -16,7 +18,8 @@
 //
 // Exit status is non-zero when any stage output differs bitwise between
 // the reference and optimised kernels, or when the combined scheduling+DVS
-// speedup falls below --min-speedup.
+// speedup falls below --min-speedup. The build_core_allocation row is kept
+// out of `combined`, so that baseline keeps meaning scheduling+DVS only.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -36,6 +39,7 @@
 #include "dvs/pv_dvs.hpp"
 #include "energy/evaluator.hpp"
 #include "sched/list_scheduler.hpp"
+#include "tgff/smart_phone.hpp"
 #include "tgff/suites.hpp"
 
 namespace {
@@ -159,6 +163,56 @@ bool results_match(const PvDvsResult& a, const PvDvsResult& b) {
          sorted_close(a.energy, b.energy, 1e-6);
 }
 
+/// `steps` mappings of a seeded genome chain: a random genome, then one
+/// gene re-drawn per step, so consecutive mappings share most of their
+/// (PE, type) groups the way GA offspring do.
+std::vector<MultiModeMapping> genome_chain(const System& system,
+                                           std::uint64_t seed, int steps) {
+  const GenomeCodec codec(system);
+  Rng rng(seed);
+  Genome genome = codec.random_genome(rng);
+  std::vector<MultiModeMapping> chain;
+  for (int s = 0; s < steps; ++s) {
+    chain.push_back(codec.decode(genome));
+    const auto g = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(codec.genome_length()) - 1));
+    const std::vector<PeId>& pes = codec.candidates(g);
+    codec.set_pe(genome, g,
+                 pes[static_cast<std::size_t>(rng.uniform_int(
+                     0, static_cast<std::int64_t>(pes.size()) - 1))]);
+  }
+  return chain;
+}
+
+/// Exact CoreAllocation equality of the frozen and the library builder
+/// over a 64-step genome chain on every mul and on the smart phone. Under
+/// the suites' own areas and the default threshold, random mappings never
+/// earn an extra core, so each system is also compared with 100x hardware
+/// area and a mobility threshold of 1: that reaches the extra-core greedy,
+/// the ASIC merge over modes and per-mode FPGA extras.
+bool allocations_identical() {
+  std::vector<System> systems;
+  for (int i = 1; i <= mul_count(); ++i) systems.push_back(make_mul(i));
+  systems.push_back(make_smart_phone());
+  AllocationOptions stressed;
+  stressed.mobility_threshold = 1.0;
+  for (System& system : systems) {
+    for (int pass = 0; pass < 2; ++pass) {
+      const AllocationOptions options = pass == 0 ? AllocationOptions{}
+                                                  : stressed;
+      for (const MultiModeMapping& mapping : genome_chain(system, 7, 64))
+        if (refk::ref_build_core_allocation(system, mapping, options)
+                .per_mode !=
+            build_core_allocation(system, mapping, options).per_mode)
+          return false;
+      for (std::size_t p = 0; p < system.arch.pe_count(); ++p)
+        system.arch.pe(PeId{static_cast<PeId::value_type>(p)})
+            .area_capacity *= 100.0;
+    }
+  }
+  return true;
+}
+
 struct StageReport {
   std::string name;
   double ref_ns = 0.0;
@@ -204,7 +258,7 @@ struct Fixture {
 };
 
 void print_stage(std::FILE* out, const StageReport& s) {
-  std::fprintf(out, "  %-16s ref %10.0f ns   opt %10.0f ns   %5.2fx   %s\n",
+  std::fprintf(out, "  %-21s ref %10.0f ns   opt %10.0f ns   %5.2fx   %s\n",
                s.name.c_str(), s.ref_ns, s.opt_ns, s.speedup(),
                s.identical ? "match" : "MISMATCH");
 }
@@ -237,6 +291,8 @@ int main(int argc, char** argv) {
 
   Fixture f(mul_index);
   const std::size_t mode_count = f.system.omsm.mode_count();
+  const std::vector<MultiModeMapping> chain =
+      genome_chain(f.system, 99, 16);
 
   // ---- Identity: every stage, every mode, before any timing. ------------
   bool identity_schedule = true;
@@ -325,6 +381,25 @@ int main(int argc, char** argv) {
     stages.push_back(s);
   }
 
+  // Phase-2a allocation: reported with the stages, kept out of `combined`.
+  StageReport alloc{"build_core_allocation"};
+  alloc.identical = allocations_identical();
+  alloc.ref_ns = time_ns(
+      [&] {
+        for (const MultiModeMapping& mapping : chain)
+          g_sink = static_cast<double>(
+              refk::ref_build_core_allocation(f.system, mapping)
+                  .per_mode.size());
+      },
+      repeats);
+  alloc.opt_ns = time_ns(
+      [&] {
+        for (const MultiModeMapping& mapping : chain)
+          g_sink = static_cast<double>(
+              build_core_allocation(f.system, mapping).per_mode.size());
+      },
+      repeats);
+
   // Informational opt-only timings (no pre-rewrite counterpart survives at
   // this granularity; the evaluator exercises every kernel end-to-end).
   double eval_ns = 0.0, eval_dvs_ns = 0.0;
@@ -350,16 +425,18 @@ int main(int argc, char** argv) {
     combined_opt += s.opt_ns;
     all_identical = all_identical && s.identical;
   }
+  all_identical = all_identical && alloc.identical;
   const double combined_speedup =
       combined_opt > 0.0 ? combined_ref / combined_opt : 0.0;
 
   std::printf("micro_kernels  fixture mul%d  (%zu modes, best of %d)\n",
               mul_index, mode_count, repeats);
   for (const StageReport& s : stages) print_stage(stdout, s);
-  std::printf("  %-16s ref %10.0f ns   opt %10.0f ns   %5.2fx\n", "combined",
+  std::printf("  %-21s ref %10.0f ns   opt %10.0f ns   %5.2fx\n", "combined",
               combined_ref, combined_opt, combined_speedup);
-  std::printf("  %-16s                  opt %10.0f ns\n", "evaluate", eval_ns);
-  std::printf("  %-16s                  opt %10.0f ns\n", "evaluate_dvs",
+  print_stage(stdout, alloc);
+  std::printf("  %-21s                  opt %10.0f ns\n", "evaluate", eval_ns);
+  std::printf("  %-21s                  opt %10.0f ns\n", "evaluate_dvs",
               eval_dvs_ns);
 
   if (!json_path.empty()) {
@@ -369,13 +446,17 @@ int main(int argc, char** argv) {
         << "  \"fixture\": \"mul" << mul_index << "\",\n"
         << "  \"repeats\": " << repeats << ",\n"
         << "  \"stages\": {\n";
-    for (std::size_t i = 0; i < stages.size(); ++i) {
-      const StageReport& s = stages[i];
+    for (const StageReport& s : stages) {
       out << "    \"" << s.name << "\": {\"ref_ns\": " << s.ref_ns
           << ", \"opt_ns\": " << s.opt_ns << ", \"speedup\": " << s.speedup()
-          << ", \"identical\": " << (s.identical ? "true" : "false") << "}"
-          << (i + 1 < stages.size() ? "," : "") << "\n";
+          << ", \"identical\": " << (s.identical ? "true" : "false")
+          << "},\n";
     }
+    out << "    \"" << alloc.name << "\": {\"ref_ns\": " << alloc.ref_ns
+        << ", \"opt_ns\": " << alloc.opt_ns
+        << ", \"speedup\": " << alloc.speedup() << ", \"identical\": "
+        << (alloc.identical ? "true" : "false") << ", \"in_combined\": false"
+        << "}\n";
     out << "  },\n"
         << "  \"combined\": {\"ref_ns\": " << combined_ref
         << ", \"opt_ns\": " << combined_opt

@@ -1,21 +1,24 @@
-// Frozen pre-rewrite scheduler/DVS kernels, kept verbatim as the
-// baseline the data-oriented kernels in src/sched and src/dvs are
-// benchmarked and *bit-compared* against. micro_kernels runs both
-// implementations on the same inputs, asserts byte-identical outputs,
-// and reports the speedup ratio — a machine-independent number that the
-// CI perf gate (tools/ci.sh) tracks through BENCH_micro_kernels.json.
+// Frozen pre-rewrite scheduler/DVS/allocation kernels, kept verbatim as
+// the baseline the data-oriented kernels in src/sched, src/dvs and
+// src/core are benchmarked and *bit-compared* against. micro_kernels runs
+// both implementations on the same inputs, asserts byte-identical
+// outputs, and reports the speedup ratio — a machine-independent number
+// that the CI perf gate (tools/ci.sh) tracks through
+// BENCH_micro_kernels.json.
 //
 // Do not "improve" this code: its value is being the exact algorithms
 // the library shipped before the rewrite (allocation-heavy timelines,
 // vector-of-vectors adjacency, linear-scan ready selection, full
-// forward/backward passes per gradient step).
+// forward/backward passes per gradient step, std::map demand grouping).
 #pragma once
 
 #include <vector>
 
+#include "core/allocation_builder.hpp"
 #include "dvs/dvs_graph.hpp"
 #include "dvs/pv_dvs.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/mobility.hpp"
 #include "sched/schedule.hpp"
 
 namespace mmsyn::refk {
@@ -55,5 +58,18 @@ struct RefDvsGraph {
 [[nodiscard]] PvDvsResult ref_run_pv_dvs(const RefDvsGraph& graph,
                                          const Architecture& arch,
                                          const PvDvsOptions& options = {});
+
+/// Pre-rewrite mobility analysis (per-edge Architecture::links_between
+/// vectors, each edge delay computed in both passes).
+[[nodiscard]] MobilityInfo ref_compute_mobility(const Mode& mode,
+                                                const ModeMapping& mapping,
+                                                const Architecture& arch,
+                                                const TechLibrary& tech);
+
+/// Pre-rewrite core-allocation builder (eager mobility for every mode,
+/// std::map grouping of hardware tasks and per-(mode, PE) demands).
+[[nodiscard]] CoreAllocation ref_build_core_allocation(
+    const System& system, const MultiModeMapping& mapping,
+    const AllocationOptions& options = {});
 
 }  // namespace mmsyn::refk

@@ -13,7 +13,9 @@
 // --resume continues a checkpointed run bit-identically to an
 // uninterrupted one with the same flags. An early stop still reports the
 // best implementation found so far (exit code 3).
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include "audit/auditor.hpp"
 #include "common/failpoint.hpp"
@@ -32,6 +34,17 @@
 #include "tgff/suites.hpp"
 
 using namespace mmsyn;
+
+namespace {
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+/// Each island is a full population; more than this is a typo, not a run.
+constexpr std::int64_t kMaxIslands = 1024;
+/// Every checkpoint save renames each kept generation once.
+constexpr std::int64_t kMaxCheckpointKeep = 1000;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
@@ -68,7 +81,8 @@ int main(int argc, char** argv) {
   flags.define_string("checkpoint", "",
                       "write resumable GA checkpoints to this file");
   flags.define_int("checkpoint-every", 25,
-                   "generations between periodic checkpoints");
+                   "generations between periodic checkpoints (0 = only on "
+                   "an early stop)");
   flags.define_string("resume", "",
                       "resume from this checkpoint file (same system, seed "
                       "and GA options required)");
@@ -97,10 +111,15 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   // Every option is checked before any work: the shared job options,
-  // then the CLI-only GA settings and island topology on top of them.
+  // then the CLI-only integer flags (each against its range, so no value
+  // wraps on the way to its narrower field) and the island topology.
   JobOptions job;
   SynthesisOptions options;
   PipelineProfiler profiler;
+  int export_mul = 0;
+  std::uint64_t exhaustive_budget = 0;
+  int checkpoint_every = 0;
+  int checkpoint_keep = 0;
   try {
     job = job_options_from_flags(flags);
     validate(job);
@@ -108,12 +127,22 @@ int main(int argc, char** argv) {
     if (flags.get_bool("profile")) options.profiler = &profiler;
     options.ga.rng = flags.get_string("rng") == "legacy" ? RngKind::kXoshiro
                                                          : RngKind::kThreefry;
-    options.ga.mode_cache_capacity =
-        static_cast<std::size_t>(flags.get_int("mode-cache-capacity"));
-    options.islands = static_cast<int>(flags.get_int("islands"));
-    options.migration_interval =
-        static_cast<int>(flags.get_int("migration-interval"));
-    options.migrants = static_cast<int>(flags.get_int("migrants"));
+    options.ga.mode_cache_capacity = static_cast<std::size_t>(
+        flags.get_int_in("mode-cache-capacity", 0, kInt64Max));
+    options.islands =
+        static_cast<int>(flags.get_int_in("islands", 1, kMaxIslands));
+    options.migration_interval = static_cast<int>(
+        flags.get_int_in("migration-interval", 1, kInt32Max));
+    options.migrants =
+        static_cast<int>(flags.get_int_in("migrants", 0, kInt32Max));
+    export_mul =
+        static_cast<int>(flags.get_int_in("export-mul", 0, mul_count()));
+    exhaustive_budget = static_cast<std::uint64_t>(
+        flags.get_int_in("exhaustive-budget", 0, kInt64Max));
+    checkpoint_every =
+        static_cast<int>(flags.get_int_in("checkpoint-every", 0, kInt32Max));
+    checkpoint_keep = static_cast<int>(
+        flags.get_int_in("checkpoint-keep", 1, kMaxCheckpointKeep));
     IslandGa::validate(options.ga, {options.islands, options.migration_interval,
                                     options.migrants});
   } catch (const std::invalid_argument& e) {
@@ -139,14 +168,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "failpoints armed: %s\n",
                  failpoint::active_spec().c_str());
 
-  if (flags.get_bool("export-smartphone") || flags.get_int("export-mul") > 0) {
+  if (flags.get_bool("export-smartphone") || export_mul > 0) {
     const std::string path = flags.get_string("output").empty()
                                  ? "exported.mmsyn"
                                  : flags.get_string("output");
     const System system = flags.get_bool("export-smartphone")
                               ? make_smart_phone()
-                              : make_mul(static_cast<int>(
-                                    flags.get_int("export-mul")));
+                              : make_mul(export_mul);
     save_system(path, system);
     std::printf("wrote %s (%s)\n", path.c_str(), system.name.c_str());
     return 0;
@@ -194,9 +222,7 @@ int main(int argc, char** argv) {
     result.evaluation = evaluator.evaluate(result.mapping, result.cores);
   } else if (flags.get_bool("exhaustive")) {
     try {
-      result = exhaustive_search(
-          system, options,
-          static_cast<std::uint64_t>(flags.get_int("exhaustive-budget")));
+      result = exhaustive_search(system, options, exhaustive_budget);
     } catch (const ExhaustiveOverflow& e) {
       std::fprintf(stderr,
                    "exhaustive enumeration is infeasible: the mapping space "
@@ -211,10 +237,8 @@ int main(int argc, char** argv) {
     RunControl control;
     control.time_budget_seconds = job.time_budget;
     control.checkpoint_path = flags.get_string("checkpoint");
-    control.checkpoint_every_generations =
-        static_cast<int>(flags.get_int("checkpoint-every"));
-    control.checkpoint_keep_generations =
-        static_cast<int>(flags.get_int("checkpoint-keep"));
+    control.checkpoint_every_generations = checkpoint_every;
+    control.checkpoint_keep_generations = checkpoint_keep;
     control.resume_path = flags.get_string("resume");
     control.recovery_log = [](const std::string& message) {
       std::fprintf(stderr, "recovery: %s\n", message.c_str());

@@ -213,6 +213,18 @@ std::int64_t Flags::get_int(const std::string& name) const {
   return entry(name, Kind::kInt).integer;
 }
 
+std::int64_t Flags::get_int_in(const std::string& name, std::int64_t lo,
+                              std::int64_t hi) const {
+  const std::int64_t v = get_int(name);
+  if (v < lo || v > hi)
+    throw std::invalid_argument(name + ": --" + name + "=" +
+                                std::to_string(v) +
+                                " is out of range (expected " +
+                                std::to_string(lo) + ".." +
+                                std::to_string(hi) + ")");
+  return v;
+}
+
 double Flags::get_double(const std::string& name) const {
   return entry(name, Kind::kDouble).number;
 }

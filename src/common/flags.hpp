@@ -49,6 +49,11 @@ public:
   bool parse(int argc, char** argv);
 
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
+  /// Integer flag value checked against [lo, hi]; throws
+  /// std::invalid_argument naming the flag and the range when outside it.
+  [[nodiscard]] std::int64_t get_int_in(const std::string& name,
+                                        std::int64_t lo,
+                                        std::int64_t hi) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;

@@ -1,7 +1,10 @@
 #include "core/allocation_builder.hpp"
 
 #include <algorithm>
-#include <map>
+#include <compare>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "model/system.hpp"
@@ -10,10 +13,34 @@
 namespace mmsyn {
 namespace {
 
-/// Maximum number of simultaneously running intervals.
-int max_concurrency(std::vector<std::pair<double, double>> intervals) {
-  std::vector<std::pair<double, int>> events;
-  events.reserve(intervals.size() * 2);
+// Flat layout (DESIGN.md §12): every hardware task of every mode goes into
+// one vector, sorted so that each (PE, mode, type) group is contiguous and
+// PE-major. One pass over it yields each PE's demands in ascending
+// (mode, type) order, with no allocation per group or per demand. The
+// extra-core greedy breaks ties by that type order, so it is part of the
+// result.
+
+/// One hardware task of one mode, ordered (pe, mode, type, task).
+struct HwTask {
+  std::int32_t pe;
+  std::int32_t mode;
+  std::int32_t type;
+  std::int32_t task;
+  friend auto operator<=>(const HwTask&, const HwTask&) = default;
+};
+
+/// Core demand of one task type in one mode on the PE being built.
+struct Demand {
+  std::int32_t mode;
+  TaskTypeId type;
+  int count;
+};
+
+/// Maximum number of simultaneously running intervals. `events` is caller
+/// scratch, reused across groups.
+int max_concurrency(const std::vector<std::pair<double, double>>& intervals,
+                    std::vector<std::pair<double, int>>& events) {
+  events.clear();
   for (const auto& [start, end] : intervals) {
     events.emplace_back(start, +1);
     events.emplace_back(end, -1);
@@ -32,11 +59,13 @@ int max_concurrency(std::vector<std::pair<double, double>> intervals) {
   return best;
 }
 
-/// Greedy extra-core addition into `set` (already holding the base cores)
-/// until `desired` counts are met or `capacity` is exhausted.
-void add_extra_cores(CoreSet& set,
-                     const std::map<TaskTypeId, int>& desired,
-                     const TechLibrary& tech, PeId pe, double capacity) {
+/// One base core per demanded type, then greedy extra-core addition until
+/// the `desired` counts (ascending by type) are met or `capacity` is
+/// exhausted.
+CoreSet allocate_cores(std::span<const Demand> desired,
+                       const TechLibrary& tech, PeId pe, double capacity) {
+  CoreSet set;
+  for (const Demand& d : desired) set.set_count(d.type, 1);
   double used = set.area(tech, pe);
   bool progress = true;
   while (progress) {
@@ -46,14 +75,14 @@ void add_extra_cores(CoreSet& set,
     TaskTypeId best_type;
     int best_deficit = 0;
     double best_area = 0.0;
-    for (const auto& [type, want] : desired) {
-      const int deficit = want - set.count_of(type);
+    for (const Demand& d : desired) {
+      const int deficit = d.count - set.count_of(d.type);
       if (deficit <= 0) continue;
-      const double area = tech.require(type, pe).area;
+      const double area = tech.require(d.type, pe).area;
       if (used + area > capacity) continue;
       if (deficit > best_deficit ||
           (deficit == best_deficit && area < best_area)) {
-        best_type = type;
+        best_type = d.type;
         best_deficit = deficit;
         best_area = area;
       }
@@ -64,6 +93,7 @@ void add_extra_cores(CoreSet& set,
       progress = true;
     }
   }
+  return set;
 }
 
 }  // namespace
@@ -80,75 +110,92 @@ CoreAllocation build_core_allocation(const System& system,
   CoreAllocation alloc;
   alloc.per_mode.assign(n_modes, std::vector<CoreSet>(n_pes));
 
-  // Per-mode mobility analysis (Fig. 4 line 04).
-  std::vector<MobilityInfo> mobility;
-  mobility.reserve(n_modes);
+  std::vector<HwTask> hw;
   for (std::size_t m = 0; m < n_modes; ++m) {
-    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
-    mobility.push_back(compute_mobility(omsm.mode(mode_id), mapping.modes[m],
-                                        arch, tech));
-  }
-
-  // desired[m][pe] : per-type core demand in mode m on PE pe.
-  std::vector<std::vector<std::map<TaskTypeId, int>>> desired(
-      n_modes, std::vector<std::map<TaskTypeId, int>>(n_pes));
-
-  for (std::size_t m = 0; m < n_modes; ++m) {
-    const ModeId mode_id{static_cast<ModeId::value_type>(m)};
-    const Mode& mode = omsm.mode(mode_id);
-    const MobilityInfo& mob = mobility[m];
-    // Group this mode's hardware tasks by (pe, type).
-    std::map<std::pair<PeId, TaskTypeId>, std::vector<std::size_t>> groups;
-    for (std::size_t t = 0; t < mode.graph.task_count(); ++t) {
-      const PeId pe = mapping.modes[m].task_to_pe[t];
+    const TaskGraph& graph = omsm.modes()[m].graph;
+    const std::vector<PeId>& task_to_pe = mapping.modes[m].task_to_pe;
+    for (std::size_t t = 0; t < graph.task_count(); ++t) {
+      const PeId pe = task_to_pe[t];
       if (!is_hardware(arch.pe(pe).kind)) continue;
       const TaskId id{static_cast<TaskId::value_type>(t)};
-      groups[{pe, mode.graph.task(id).type}].push_back(t);
+      hw.push_back({pe.value(), static_cast<std::int32_t>(m),
+                    graph.task(id).type.value(),
+                    static_cast<std::int32_t>(t)});
     }
-    for (const auto& [key, tasks] : groups) {
-      const auto& [pe, type] = key;
+  }
+  std::sort(hw.begin(), hw.end());
+
+  // Per-mode mobility analysis (Fig. 4 line 04), run for a mode only when
+  // one of its groups has more than one task to rank.
+  std::vector<std::optional<MobilityInfo>> mobility(n_modes);
+  std::vector<std::pair<double, double>> windows;
+  std::vector<std::pair<double, int>> events;
+  std::vector<Demand> demands;  // current PE, ascending (mode, type)
+  std::vector<Demand> merged;   // ASIC: per-type max over modes
+
+  for (std::size_t g = 0; g < hw.size();) {
+    const std::int32_t pe_value = hw[g].pe;
+    demands.clear();
+    while (g < hw.size() && hw[g].pe == pe_value) {
+      const HwTask& head = hw[g];
+      std::size_t end = g + 1;
+      while (end < hw.size() && hw[end].pe == head.pe &&
+             hw[end].mode == head.mode && hw[end].type == head.type)
+        ++end;
       int demand = 1;
-      if (options.allocate_parallel_cores && tasks.size() > 1) {
+      if (options.allocate_parallel_cores && end - g > 1) {
         // Extra cores pay off only for tasks that can actually overlap and
         // are urgent (low mobility).
-        std::vector<std::pair<double, double>> windows;
+        const auto m = static_cast<std::size_t>(head.mode);
+        const Mode& mode = omsm.modes()[m];
+        if (!mobility[m])
+          mobility[m] = compute_mobility(mode, mapping.modes[m], arch, tech);
+        const MobilityInfo& mob = *mobility[m];
         const double mobility_cap =
             options.mobility_threshold * mode.period;
-        for (std::size_t t : tasks) {
+        windows.clear();
+        for (std::size_t k = g; k < end; ++k) {
+          const auto t = static_cast<std::size_t>(hw[k].task);
           if (mob.mobility[t] > mobility_cap) continue;
           windows.emplace_back(mob.asap_start[t],
                                mob.asap_start[t] + mob.exec_time[t]);
         }
-        demand = std::max(1, max_concurrency(std::move(windows)));
+        demand = std::max(1, max_concurrency(windows, events));
       }
-      desired[m][pe.index()][type] = demand;
+      demands.push_back({head.mode, TaskTypeId{head.type}, demand});
+      g = end;
     }
-  }
 
-  for (PeId p : arch.pe_ids()) {
+    const PeId p{pe_value};
     const Pe& pe = arch.pe(p);
-    if (!is_hardware(pe.kind)) continue;
-
     if (pe.kind == PeKind::kAsic) {
       // Static silicon: one set for all modes, per-type max demand.
-      std::map<TaskTypeId, int> merged;
-      for (std::size_t m = 0; m < n_modes; ++m)
-        for (const auto& [type, want] : desired[m][p.index()])
-          merged[type] = std::max(merged[type], want);
-      CoreSet set;
-      for (const auto& [type, want] : merged) set.set_count(type, 1);
-      add_extra_cores(set, merged, tech, p, pe.area_capacity);
+      merged = demands;
+      std::sort(merged.begin(), merged.end(),
+                [](const Demand& a, const Demand& b) {
+                  return a.type < b.type;
+                });
+      std::size_t n = 0;
+      for (const Demand& d : merged) {
+        if (n > 0 && merged[n - 1].type == d.type)
+          merged[n - 1].count = std::max(merged[n - 1].count, d.count);
+        else
+          merged[n++] = d;
+      }
+      merged.resize(n);
+      const CoreSet set = allocate_cores(merged, tech, p, pe.area_capacity);
       for (std::size_t m = 0; m < n_modes; ++m)
         alloc.per_mode[m][p.index()] = set;
     } else {
       // FPGA: reconfigurable per mode.
-      for (std::size_t m = 0; m < n_modes; ++m) {
-        CoreSet set;
-        for (const auto& [type, want] : desired[m][p.index()])
-          set.set_count(type, 1);
-        add_extra_cores(set, desired[m][p.index()], tech, p,
-                        pe.area_capacity);
-        alloc.per_mode[m][p.index()] = std::move(set);
+      for (std::size_t a = 0; a < demands.size();) {
+        std::size_t b = a + 1;
+        while (b < demands.size() && demands[b].mode == demands[a].mode) ++b;
+        alloc.per_mode[static_cast<std::size_t>(demands[a].mode)]
+                      [p.index()] =
+            allocate_cores(std::span(demands).subspan(a, b - a), tech, p,
+                           pe.area_capacity);
+        a = b;
       }
     }
   }

@@ -11,16 +11,22 @@
 namespace mmsyn {
 namespace {
 
-/// Contention-free delay estimate of edge `e` under `mapping`.
-double edge_delay(const TaskGraph& graph, const TaskEdge& e,
-                  const ModeMapping& mapping, const Architecture& arch) {
-  (void)graph;
+/// Contention-free delay estimate of edge `e` under `mapping`: the fastest
+/// CL attached to both endpoint PEs. The CLs are scanned in ascending id
+/// order with the membership test of `Architecture::links_between`, so the
+/// `std::min` sequence (and every tie) matches it without building the
+/// per-edge link vector.
+double edge_delay(const TaskEdge& e, const ModeMapping& mapping,
+                  const Architecture& arch) {
   const PeId src_pe = mapping.task_to_pe[e.src.index()];
   const PeId dst_pe = mapping.task_to_pe[e.dst.index()];
   if (src_pe == dst_pe) return 0.0;
   double best = std::numeric_limits<double>::infinity();
-  for (ClId cl : arch.links_between(src_pe, dst_pe)) {
-    const Cl& link = arch.cl(cl);
+  for (const Cl& link : arch.cls()) {
+    const auto& att = link.attached;
+    if (std::find(att.begin(), att.end(), src_pe) == att.end() ||
+        std::find(att.begin(), att.end(), dst_pe) == att.end())
+      continue;
     best = std::min(best, link.startup_latency + e.data_bits / link.bandwidth);
   }
   // Unconnected PEs: treat as a huge (but finite) delay so mobility stays
@@ -48,6 +54,11 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
         tech.require(graph.task(id).type, mapping.task_to_pe[t]).exec_time;
   }
 
+  // Each edge's delay is read by both passes; price it once.
+  std::vector<double> delay(graph.edge_count());
+  for (std::size_t e = 0; e < delay.size(); ++e)
+    delay[e] = edge_delay(graph.edges()[e], mapping, arch);
+
   const auto& topo = graph.topological_order();
 
   // Forward (ASAP) pass.
@@ -57,7 +68,7 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
       const TaskEdge& edge = graph.edge(e);
       start = std::max(start, info.asap_start[edge.src.index()] +
                                   info.exec_time[edge.src.index()] +
-                                  edge_delay(graph, edge, mapping, arch));
+                                  delay[e.index()]);
     }
     info.asap_start[u.index()] = start;
     info.critical_path =
@@ -80,7 +91,7 @@ MobilityInfo compute_mobility(const Mode& mode, const ModeMapping& mapping,
       latest_finish =
           std::min(latest_finish,
                    info.alap_start[edge.dst.index()] -
-                       edge_delay(graph, edge, mapping, arch));
+                       delay[e.index()]);
     }
     info.alap_start[u.index()] = latest_finish - info.exec_time[u.index()];
     info.mobility[u.index()] = std::max(

@@ -596,6 +596,7 @@ void JobServer::accept_loop() {
       std::unique_lock<std::mutex> lock(mu_);
       if (draining_) return;
     }
+    reap_finished_connections();
     pollfd pfd{listen_fd_, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready <= 0) continue;
@@ -623,6 +624,28 @@ void JobServer::accept_loop() {
     connection_fds_.push_back(fd);
     connections_.emplace_back([this, fd] { serve_connection(fd); });
   }
+}
+
+void JobServer::reap_finished_connections() {
+  std::vector<std::thread> finished;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (const std::thread::id id : finished_connections_) {
+      const auto it = std::find_if(
+          connections_.begin(), connections_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      if (it == connections_.end()) continue;
+      finished.push_back(std::move(*it));
+      connections_.erase(it);
+    }
+    finished_connections_.clear();
+  }
+  for (std::thread& t : finished) t.join();
+}
+
+std::size_t JobServer::connection_thread_count() {
+  std::unique_lock<std::mutex> lock(mu_);
+  return connections_.size();
 }
 
 void JobServer::serve_connection(int fd) {
@@ -666,11 +689,12 @@ void JobServer::serve_connection(int fd) {
   }
   {
     // Deregister before closing so the drain never shutdown()s a stale
-    // (possibly reused) fd number.
+    // (possibly reused) fd number; the acceptor joins this thread later.
     std::unique_lock<std::mutex> lock(mu_);
     connection_fds_.erase(
         std::remove(connection_fds_.begin(), connection_fds_.end(), fd),
         connection_fds_.end());
+    finished_connections_.push_back(std::this_thread::get_id());
   }
   ::close(fd);
 }
@@ -709,18 +733,20 @@ void JobServer::drain_and_stop() {
   // Wake connection threads blocked mid-recv; their waits already
   // returned kDraining above.
   std::vector<int> fds;
+  std::vector<std::thread> connections;
   {
     std::unique_lock<std::mutex> lock(mu_);
     fds = connection_fds_;
+    connections.swap(connections_);
   }
   for (const int fd : fds) ::shutdown(fd, SHUT_RDWR);
-  for (std::thread& t : connections_) {
+  for (std::thread& t : connections) {
     if (t.joinable()) t.join();
   }
-  connections_.clear();
   {
     std::unique_lock<std::mutex> lock(mu_);
     connection_fds_.clear();
+    finished_connections_.clear();
     started_ = false;
   }
   if (!options_.socket_path.empty()) {

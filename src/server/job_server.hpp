@@ -120,6 +120,11 @@ public:
 
   [[nodiscard]] StatsReply stats();
 
+  /// Connection threads not yet joined: the clients connected now plus
+  /// those that hung up since the acceptor's last tick (it joins finished
+  /// threads before each accept and at every 200 ms poll timeout).
+  [[nodiscard]] std::size_t connection_thread_count();
+
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
 private:
@@ -153,6 +158,8 @@ private:
   void watchdog_loop();
   void accept_loop();
   void serve_connection(int fd);
+  /// Joins the connection threads that have finished (acceptor only).
+  void reap_finished_connections();
 
   /// Runs one attempt cycle of `job` (synthesis + retries) and applies
   /// the terminal or drain transition. Called by worker_loop with the
@@ -191,8 +198,10 @@ private:
   std::thread watchdog_;
   std::thread acceptor_;
   int listen_fd_ = -1;
-  std::vector<std::thread> connections_;
+  std::vector<std::thread> connections_;  ///< under mu_
   std::vector<int> connection_fds_;
+  /// Connection threads that returned and await a join.
+  std::vector<std::thread::id> finished_connections_;
 };
 
 }  // namespace mmsyn

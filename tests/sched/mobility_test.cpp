@@ -112,5 +112,64 @@ TEST_F(MobilityTest, OvertightPeriodClampsMobilityAtZero) {
   EXPECT_DOUBLE_EQ(info.mobility[b_.index()], 0.0);
 }
 
+// Edge delays use the fastest CL joining the two PEs: a slow bus listed
+// before and after the fast one must not win.
+TEST_F(MobilityTest, FastestOfSeveralClsWins) {
+  Cl slow;
+  slow.bandwidth = 1e5;  // 1000 bits -> 10 ms
+  slow.attached = {pe0_, pe1_};
+  system_.arch.add_cl(slow);
+  Cl fast;
+  fast.bandwidth = 1e7;  // 1000 bits -> 0.1 ms
+  fast.startup_latency = 0.05e-3;
+  fast.attached = {pe1_, pe0_};
+  system_.arch.add_cl(fast);
+  system_.arch.add_cl(slow);
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe1_;
+  const MobilityInfo info =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  const double fast_delay = 0.05e-3 + 1000.0 / 1e7;
+  EXPECT_DOUBLE_EQ(info.asap_start[b_.index()], 10e-3 + fast_delay);
+  EXPECT_DOUBLE_EQ(info.asap_start[c_.index()],
+                   10e-3 + fast_delay + 1e-3 + fast_delay);
+}
+
+// A PE pair no CL joins costs a finite 1e6 s per edge, so mobility stays
+// defined and the list scheduler reports the infeasibility instead.
+TEST_F(MobilityTest, UnconnectedPePairCostsOneMillionSeconds) {
+  Pe island;
+  island.name = "ISLAND";
+  const PeId pe2 = system_.arch.add_pe(island);
+  system_.tech.set_implementation(type_, pe2, {10e-3, 0.1, 0.0});
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe2;
+  const MobilityInfo info =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_DOUBLE_EQ(info.asap_start[b_.index()], 10e-3 + 1e6);
+  EXPECT_DOUBLE_EQ(info.asap_start[c_.index()], 10e-3 + 1e6 + 10e-3 + 1e6);
+  EXPECT_DOUBLE_EQ(info.critical_path, 30e-3 + 2e6);
+}
+
+// Links are PE-set membership: a CL listing a PE twice is still one link
+// with one delay, and listing one PE twice does not join it to another.
+TEST_F(MobilityTest, PeListedTwiceOnAClCountsAsOneLink) {
+  ModeMapping mapping = all_on(pe0_);
+  mapping.task_to_pe[b_.index()] = pe1_;
+  const MobilityInfo single =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  system_.arch.cl(ClId{0}).attached = {pe0_, pe1_, pe1_, pe0_};
+  const MobilityInfo doubled =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_EQ(doubled.asap_start, single.asap_start);
+  EXPECT_EQ(doubled.alap_start, single.alap_start);
+  EXPECT_DOUBLE_EQ(doubled.asap_start[b_.index()], 11e-3);
+
+  system_.arch.cl(ClId{0}).attached = {pe0_, pe0_};
+  const MobilityInfo cut =
+      compute_mobility(mode_, mapping, system_.arch, system_.tech);
+  EXPECT_DOUBLE_EQ(cut.asap_start[b_.index()], 10e-3 + 1e6);
+}
+
 }  // namespace
 }  // namespace mmsyn

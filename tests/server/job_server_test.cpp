@@ -7,6 +7,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -17,6 +18,7 @@
 
 #include "common/failpoint.hpp"
 #include "model/io.hpp"
+#include "server/client.hpp"
 #include "tgff/suites.hpp"
 
 namespace mmsyn {
@@ -490,6 +492,35 @@ TEST(JobServer, DrainLeavesRunningJobResumable) {
   const JournalRecovery recovery = journal.open(dir + "/jobs.wal");
   EXPECT_EQ(recovery.jobs.at(id).crash_attempts, 0);
   EXPECT_FALSE(recovery.jobs.at(id).completed);
+}
+
+// A long-lived server joins each connection thread once its client has
+// hung up. Without that, every connection it ever served would leave an
+// exited, unjoined thread (and its stack) behind until the drain.
+TEST(JobServer, FinishedConnectionThreadsAreReaped) {
+  const std::string dir = scratch_dir("reap");
+  const std::string socket_path = dir + "/serve.sock";
+  ServerOptions options = base_options(dir);
+  options.workers = 0;  // admission-only: stats() needs no worker
+  options.socket_path = socket_path;
+  JobServer server(std::move(options));
+  server.start();
+
+  ServeClient client(socket_path);
+  std::size_t peak = 0;
+  for (int i = 0; i < 200; ++i) {
+    (void)client.stats();  // one connection per call
+    peak = std::max(peak, server.connection_thread_count());
+  }
+  // Each accept first joins the threads whose clients already left, so
+  // only the few still noticing their hang-up can be pending.
+  EXPECT_LE(peak, 8u);
+  // With no client at all, the acceptor's poll tick reaps the rest.
+  for (int tick = 0; tick < 100 && server.connection_thread_count() > 0;
+       ++tick)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(server.connection_thread_count(), 0u);
+  server.drain_and_stop();
 }
 
 }  // namespace

@@ -266,5 +266,9 @@ echo "== thread-sanitizer server run =="
 # threads (wire clients included) in a single TSan process.
 ./build-tsan/bench/server_throughput --muls 3,4 --seeds 2 --generations 15 \
   --workers 4 --clients 4 > /dev/null
+# 200 sequential client connections: the acceptor joins each finished
+# connection thread while connection threads deregister concurrently.
+./build-tsan/tests/test_server \
+  --gtest_filter='JobServer.FinishedConnectionThreadsAreReaped'
 
 echo "ci: PASS"

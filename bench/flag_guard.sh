@@ -3,14 +3,18 @@
 # message naming the flag, in both synthesize_file and mmsyn_client,
 # before any work (the client never reaches the socket). The CLI-only
 # integer flags of synthesize_file are range-checked the same way, so a
-# value beyond their field never wraps into a different valid one.
+# value beyond their field never wraps into a different valid one; so are
+# mmsyn_serve's integer flags, before the server starts.
 #
-# Usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn>
+# Usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn> \
+#                      <mmsyn_serve>
 set -uo pipefail
 
-SF=${1:?usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn>}
-CL=${2:?usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn>}
-IN=${3:?usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn>}
+USAGE="usage: flag_guard.sh <synthesize_file> <mmsyn_client> <system.mmsyn> <mmsyn_serve>"
+SF=${1:?$USAGE}
+CL=${2:?$USAGE}
+IN=${3:?$USAGE}
+SV=${4:?$USAGE}
 ERR=$(mktemp)
 trap 'rm -f "$ERR"' EXIT
 
@@ -35,6 +39,12 @@ check() {  # check <flag> <value>: both CLIs
 check_sf() {  # check_sf <flag> <value>: synthesize_file-only flags
   expect_rejected "$SF --input $IN --quiet" "$1" "$2"
 }
+check_serve() {  # check_serve <flag> <value>: mmsyn_serve flags
+  # A missing state directory makes a wrongly accepted value fail at
+  # start-up (exit 1, flag not named) instead of serving forever.
+  expect_rejected "$SV --socket /nonexistent/s.sock --state-dir /nonexistent" \
+    "$1" "$2"
+}
 
 check threads abc
 check threads -1
@@ -57,5 +67,18 @@ check_sf checkpoint-every -1
 check_sf checkpoint-every 4294967321
 check_sf checkpoint-keep 0
 check_sf checkpoint-keep 4294967299
+
+check_serve workers 4294967296
+check_serve workers -1
+check_serve workers 1025
+check_serve queue-limit -1
+check_serve queue-limit 4294967296
+check_serve max-transient-retries -1
+check_serve max-deterministic-failures -4294967294
+check_serve max-crash-attempts -1
+check_serve checkpoint-every -1
+check_serve checkpoint-every 4294967321
+check_serve checkpoint-keep 0
+check_serve checkpoint-keep 1001
 [ "$status" -eq 0 ] && echo "flag_guard: ok"
 exit "$status"

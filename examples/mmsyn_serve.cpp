@@ -10,15 +10,28 @@
 //   mmsyn_serve --socket /tmp/mmsyn.sock --state-dir /var/lib/mmsyn
 //   mmsyn_serve --socket s.sock --state-dir st --workers 4 --queue-limit 32
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
+#include <stdexcept>
 #include <thread>
 
 #include "common/failpoint.hpp"
 #include "common/flags.hpp"
 #include "common/interrupt.hpp"
+#include "core/job_options.hpp"
 #include "server/job_server.hpp"
 
 using namespace mmsyn;
+
+namespace {
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+/// Every checkpoint save renames each kept generation once (the same
+/// bound as synthesize_file's --checkpoint-keep).
+constexpr std::int64_t kMaxCheckpointKeep = 1000;
+
+}  // namespace
 
 int main(int argc, char** argv) {
   Flags flags;
@@ -59,6 +72,30 @@ int main(int argc, char** argv) {
   flags.define_bool("verbose", true, "log recovery/retry events to stderr");
   if (!flags.parse(argc, argv)) return 1;
 
+  // Range-checked before anything starts, so a value beyond an int never
+  // wraps into a different valid one (--workers=4294967296 would be 0).
+  // 0 workers is an admission-only server: jobs are journaled, never run.
+  ServerOptions options;
+  try {
+    options.workers =
+        static_cast<int>(flags.get_int_in("workers", 0, kMaxJobThreads));
+    options.queue_limit =
+        static_cast<int>(flags.get_int_in("queue-limit", 0, kInt32Max));
+    options.max_transient_retries = static_cast<int>(
+        flags.get_int_in("max-transient-retries", 0, kInt32Max));
+    options.max_deterministic_failures = static_cast<int>(
+        flags.get_int_in("max-deterministic-failures", 0, kInt32Max));
+    options.max_crash_attempts = static_cast<int>(
+        flags.get_int_in("max-crash-attempts", 0, kInt32Max));
+    options.checkpoint_every =
+        static_cast<int>(flags.get_int_in("checkpoint-every", 0, kInt32Max));
+    options.checkpoint_keep = static_cast<int>(
+        flags.get_int_in("checkpoint-keep", 1, kMaxCheckpointKeep));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+
   if (flags.get_string("failpoints") == "list") {
     for (const std::string& site : failpoint::registered_sites())
       std::printf("%s\n", site.c_str());
@@ -84,22 +121,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ServerOptions options;
   options.socket_path = flags.get_string("socket");
   options.state_dir = flags.get_string("state-dir");
-  options.workers = static_cast<int>(flags.get_int("workers"));
-  options.queue_limit = static_cast<int>(flags.get_int("queue-limit"));
   options.default_time_budget = flags.get_double("default-time-budget");
   options.watchdog_grace = flags.get_double("watchdog-grace");
-  options.max_transient_retries =
-      static_cast<int>(flags.get_int("max-transient-retries"));
-  options.max_deterministic_failures =
-      static_cast<int>(flags.get_int("max-deterministic-failures"));
-  options.max_crash_attempts =
-      static_cast<int>(flags.get_int("max-crash-attempts"));
-  options.checkpoint_every =
-      static_cast<int>(flags.get_int("checkpoint-every"));
-  options.checkpoint_keep = static_cast<int>(flags.get_int("checkpoint-keep"));
   options.seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   options.result_cache = flags.get_bool("cache");
   if (flags.get_bool("verbose")) {

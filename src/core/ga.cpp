@@ -218,8 +218,21 @@ void MappingGa::evaluate_jobs_incremental(
     std::size_t job;  // owning job: runs the inner loop, inserts the result
     std::size_t mode;
   };
+  // The in-flight map points into states[j].keys (stable until phase 2d
+  // moves the owners' keys into the cache) and reuses their stored hashes.
+  struct KeyPtrHash {
+    std::size_t operator()(const ModeEvalKey* key) const {
+      return static_cast<std::size_t>(key->hash());
+    }
+  };
+  struct KeyPtrEqual {
+    bool operator()(const ModeEvalKey* a, const ModeEvalKey* b) const {
+      return *a == *b;
+    }
+  };
   std::vector<ModeJob> mode_jobs;
-  std::unordered_map<ModeEvalKey, std::size_t, ModeEvalKeyHash> in_flight;
+  std::unordered_map<const ModeEvalKey*, std::size_t, KeyPtrHash, KeyPtrEqual>
+      in_flight;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     JobState& st = states[j];
     for (std::size_t m = 0; m < n_modes; ++m) {
@@ -227,13 +240,13 @@ void MappingGa::evaluate_jobs_incremental(
         st.modes[m] = *cached;  // copy: the pointer dies on the next insert
         continue;
       }
-      if (auto it = in_flight.find(st.keys[m]); it != in_flight.end()) {
+      const auto [it, inserted] =
+          in_flight.try_emplace(&st.keys[m], mode_jobs.size());
+      st.pending[m] = it->second;
+      if (!inserted) {
         mode_cache_.credit_hit();
-        st.pending[m] = it->second;
         continue;
       }
-      in_flight.emplace(st.keys[m], mode_jobs.size());
-      st.pending[m] = mode_jobs.size();
       mode_jobs.push_back({j, m});
     }
   }
@@ -265,7 +278,8 @@ void MappingGa::evaluate_jobs_incremental(
       const std::size_t k = st.pending[m];
       if (k == kNoJob) continue;
       st.modes[m] = fresh[k];
-      if (mode_jobs[k].job == j) mode_cache_.insert(st.keys[m], fresh[k]);
+      if (mode_jobs[k].job == j)
+        mode_cache_.insert(std::move(st.keys[m]), fresh[k]);
     }
     results[j] = finish_fitness(
         evaluator_.assemble(st.mapping, st.cores, std::move(st.modes)));

@@ -70,12 +70,12 @@ SnapshotIndividual read_individual(Reader& r, std::size_t genome_length) {
 }
 
 void write_mode_key(ByteWriter& w, const ModeEvalKey& key) {
-  w.u32(key.mode);
-  w.u64(key.options_fingerprint);
-  w.u64(key.task_to_pe.size());
-  for (PeId p : key.task_to_pe) w.i32(p.value());
-  w.u64(key.cores.size());
-  for (const CoreSet& set : key.cores) {
+  w.u32(key.mode());
+  w.u64(key.options_fingerprint());
+  w.u64(key.task_to_pe().size());
+  for (PeId p : key.task_to_pe()) w.i32(p.value());
+  w.u64(key.cores().size());
+  for (const CoreSet& set : key.cores()) {
     w.u64(set.entries().size());
     for (const auto& [type, count] : set.entries()) {
       w.i32(type.value());
@@ -84,24 +84,25 @@ void write_mode_key(ByteWriter& w, const ModeEvalKey& key) {
   }
 }
 
+// The key's hash is not part of the format: the constructor recomputes it.
 ModeEvalKey read_mode_key(Reader& r) {
-  ModeEvalKey key;
-  key.mode = r.u32();
-  key.options_fingerprint = r.u64();
+  const std::uint32_t mode = r.u32();
+  const std::uint64_t options_fingerprint = r.u64();
   const std::uint64_t n_tasks = r.u64();
-  key.task_to_pe.reserve(n_tasks);
+  std::vector<PeId> task_to_pe;
+  task_to_pe.reserve(n_tasks);
   for (std::uint64_t i = 0; i < n_tasks; ++i)
-    key.task_to_pe.push_back(PeId{static_cast<PeId::value_type>(r.i32())});
-  const std::uint64_t n_sets = r.u64();
-  key.cores.resize(n_sets);
-  for (CoreSet& set : key.cores) {
+    task_to_pe.push_back(PeId{static_cast<PeId::value_type>(r.i32())});
+  std::vector<CoreSet> cores(r.u64());
+  for (CoreSet& set : cores) {
     const std::uint64_t n_entries = r.u64();
     for (std::uint64_t e = 0; e < n_entries; ++e) {
       const TaskTypeId type{static_cast<TaskTypeId::value_type>(r.i32())};
       set.set_count(type, r.i32());
     }
   }
-  return key;
+  return ModeEvalKey(mode, options_fingerprint, std::move(task_to_pe),
+                     std::move(cores));
 }
 
 void write_mode_evaluation(ByteWriter& w, const ModeEvaluation& m) {

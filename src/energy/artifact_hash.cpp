@@ -1,26 +1,45 @@
 #include "energy/artifact_hash.hpp"
 
-#include "common/checksum.hpp"
+#include <bit>
+#include <vector>
 
 namespace mmsyn {
+namespace {
+
+std::uint64_t mix_double(std::uint64_t h, double v) {
+  return mix_word(h, std::bit_cast<std::uint64_t>(v));
+}
+
+std::uint64_t mix_bits(std::uint64_t h, const std::vector<bool>& bits) {
+  h = mix_word(h, bits.size());
+  std::uint64_t word = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    word |= static_cast<std::uint64_t>(bits[i]) << (i % 64);
+    if (i % 64 == 63) {
+      h = mix_word(h, word);
+      word = 0;
+    }
+  }
+  return bits.size() % 64 != 0 ? mix_word(h, word) : h;
+}
+
+}  // namespace
 
 std::uint64_t mode_evaluation_digest(const ModeEvaluation& m) {
-  Fnv1a64 h;
-  h.add(m.dyn_energy);
-  h.add(m.dyn_power);
-  h.add(m.static_power);
-  h.add(m.timing_violation);
-  h.add(m.makespan);
-  h.add(static_cast<std::uint64_t>(m.pe_active.size()));
-  for (bool b : m.pe_active) h.add(b);
-  h.add(static_cast<std::uint64_t>(m.cl_active.size()));
-  for (bool b : m.cl_active) h.add(b);
-  h.add(m.routable);
-  h.add(m.baseline_static_power);
-  h.add(m.idle_energy_saved);
-  h.add(m.wake_energy);
-  h.add(m.temperature);
-  return h.digest();
+  std::uint64_t h = kWordHashSeed;
+  h = mix_double(h, m.dyn_energy);
+  h = mix_double(h, m.dyn_power);
+  h = mix_double(h, m.static_power);
+  h = mix_double(h, m.timing_violation);
+  h = mix_double(h, m.makespan);
+  h = mix_bits(h, m.pe_active);
+  h = mix_bits(h, m.cl_active);
+  h = mix_word(h, m.routable ? 1 : 0);
+  h = mix_double(h, m.baseline_static_power);
+  h = mix_double(h, m.idle_energy_saved);
+  h = mix_double(h, m.wake_energy);
+  h = mix_double(h, m.temperature);
+  return h;
 }
 
 bool equal_mode_evaluations(const ModeEvaluation& a, const ModeEvaluation& b) {

@@ -24,7 +24,22 @@
 
 namespace mmsyn {
 
-/// FNV-1a digest of every compared ModeEvaluation field.
+/// Start value of a word-wise hash (any nonzero constant).
+inline constexpr std::uint64_t kWordHashSeed = 0xcbf29ce484222325ull;
+
+/// One word-wise mixing step: one multiply per 64-bit word. For a fixed
+/// word the step is a bijection of `h` (xor, multiply by an odd constant,
+/// xorshift), so changing any one word of a fixed-length sequence always
+/// changes the result. Used by the mode-cache key hash and the digest.
+[[nodiscard]] constexpr std::uint64_t mix_word(std::uint64_t h,
+                                               std::uint64_t w) {
+  h = (h ^ w) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
+
+/// Word-wise digest of every compared ModeEvaluation field: the scalars
+/// by bit pattern, then each bool vector as its length followed by its
+/// bits packed 64 per word.
 [[nodiscard]] std::uint64_t mode_evaluation_digest(const ModeEvaluation& m);
 
 /// Exact (bitwise) equality over the digested ModeEvaluation fields.

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "common/checksum.hpp"
 #include "common/failpoint.hpp"
 #include "energy/artifact_hash.hpp"
 #include "power/power_model.hpp"
@@ -48,22 +47,35 @@ InsertFault cache_insert_fault() {
 
 }  // namespace
 
-std::size_t ModeEvalKeyHash::operator()(const ModeEvalKey& key) const {
-  Fnv1a64 h;
-  h.add(static_cast<std::uint64_t>(key.mode));
-  h.add(key.options_fingerprint);
-  for (PeId pe : key.task_to_pe)
-    h.add(static_cast<std::uint64_t>(
-        static_cast<std::uint32_t>(pe.value())));
-  for (const CoreSet& set : key.cores) {
-    h.add(static_cast<std::uint64_t>(set.entries().size()));
-    for (const auto& [type, count] : set.entries()) {
-      h.add(static_cast<std::uint64_t>(
-          static_cast<std::uint32_t>(type.value())));
-      h.add(static_cast<std::uint64_t>(count));
-    }
+ModeEvalKey::ModeEvalKey(std::uint32_t mode,
+                         std::uint64_t options_fingerprint,
+                         std::vector<PeId> task_to_pe,
+                         std::vector<CoreSet> cores)
+    : mode_(mode),
+      options_fingerprint_(options_fingerprint),
+      task_to_pe_(std::move(task_to_pe)),
+      cores_(std::move(cores)) {
+  auto pe_word = [](PeId pe) {
+    return static_cast<std::uint64_t>(static_cast<std::uint32_t>(pe.value()));
+  };
+  std::uint64_t h = mix_word(kWordHashSeed, mode_);
+  h = mix_word(h, options_fingerprint_);
+  h = mix_word(h, task_to_pe_.size());
+  std::size_t i = 0;
+  for (; i + 1 < task_to_pe_.size(); i += 2)
+    h = mix_word(h, pe_word(task_to_pe_[i]) |
+                        pe_word(task_to_pe_[i + 1]) << 32);
+  if (i < task_to_pe_.size()) h = mix_word(h, pe_word(task_to_pe_[i]));
+  h = mix_word(h, cores_.size());
+  for (const CoreSet& set : cores_) {
+    h = mix_word(h, set.entries().size());
+    for (const auto& [type, count] : set.entries())
+      h = mix_word(h, static_cast<std::uint32_t>(type.value()) |
+                          static_cast<std::uint64_t>(
+                              static_cast<std::uint32_t>(count))
+                              << 32);
   }
-  return static_cast<std::size_t>(h.digest());
+  hash_ = h;
 }
 
 const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key) {
@@ -74,7 +86,7 @@ const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key) {
     // Poisoned entry: quarantine (erase) and report a miss so the caller
     // recomputes. Recomputation is bit-identical to a cold evaluation.
     ++quarantined_;
-    order_.erase(std::find(order_.begin(), order_.end(), key));
+    order_.erase(std::find(order_.begin(), order_.end(), &it->first));
     map_.erase(it);
     return nullptr;
   }
@@ -82,35 +94,40 @@ const ModeEvaluation* ModeEvalCache::find(const ModeEvalKey& key) {
   return &it->second.value;
 }
 
-void ModeEvalCache::insert(const ModeEvalKey& key,
-                           const ModeEvaluation& value) {
-  // Duplicate keys must be detected *before* eviction: at capacity, running
-  // the eviction loop first would evict the FIFO head and then fail the
-  // emplace, shrinking the cache and losing an innocent entry.
-  if (map_.find(key) != map_.end()) return;
+void ModeEvalCache::insert(ModeEvalKey key, const ModeEvaluation& value) {
+  // A duplicate key is a complete no-op: no failpoint hit, and no
+  // eviction — evicting first would lose the FIFO head and shrink the
+  // cache. try_emplace moves the key only when it inserts.
+  const auto [it, inserted] = map_.try_emplace(std::move(key));
+  if (!inserted) return;
   const InsertFault fault = cache_insert_fault();
-  if (fault == InsertFault::kSkip) return;
+  if (fault == InsertFault::kSkip) {
+    map_.erase(it);
+    return;
+  }
   if (capacity_ > 0) {
-    while (map_.size() >= capacity_ && !order_.empty()) {
-      map_.erase(order_.front());
+    // The new node is not in order_ yet, so it is never the one evicted.
+    while (map_.size() > capacity_ && !order_.empty()) {
+      map_.erase(map_.find(*order_.front()));
       order_.pop_front();
     }
   }
-  Stored stored{value, mode_evaluation_digest(value)};
+  Stored& stored = it->second;
+  stored.value = value;
+  stored.digest = mode_evaluation_digest(value);
   if (fault == InsertFault::kCorrupt)
     stored.value.dyn_energy =
         std::bit_cast<double>(std::bit_cast<std::uint64_t>(
                                   stored.value.dyn_energy) ^ 1u);
-  map_.emplace(key, std::move(stored));
-  order_.push_back(key);
+  order_.push_back(&it->first);
 }
 
 std::vector<std::pair<ModeEvalKey, ModeEvaluation>> ModeEvalCache::entries()
     const {
   std::vector<std::pair<ModeEvalKey, ModeEvaluation>> out;
   out.reserve(order_.size());
-  for (const ModeEvalKey& key : order_)
-    out.emplace_back(key, map_.at(key).value);
+  for (const ModeEvalKey* key : order_)
+    out.emplace_back(*key, map_.at(*key).value);
   return out;
 }
 
@@ -119,7 +136,7 @@ void ModeEvalCache::restore(
     long lookups) {
   map_.clear();
   order_.clear();
-  for (auto& [key, value] : entries) insert(key, value);
+  for (auto& [key, value] : entries) insert(std::move(key), value);
   hits_ = hits;
   lookups_ = lookups;
 }
@@ -163,12 +180,9 @@ ModeEvaluation Evaluator::evaluate_mode(std::size_t m,
 
 ModeEvalKey Evaluator::mode_key(std::size_t m, const MultiModeMapping& mapping,
                                 const CoreAllocation& cores) const {
-  ModeEvalKey key;
-  key.mode = static_cast<std::uint32_t>(m);
-  key.options_fingerprint = pipeline_.evaluation_fingerprint();
-  key.task_to_pe = mapping.modes[m].task_to_pe;
-  key.cores = cores.per_mode[m];
-  return key;
+  return ModeEvalKey(static_cast<std::uint32_t>(m),
+                     pipeline_.evaluation_fingerprint(),
+                     mapping.modes[m].task_to_pe, cores.per_mode[m]);
 }
 
 Evaluation Evaluator::assemble(const MultiModeMapping& mapping,
@@ -251,13 +265,13 @@ Evaluation Evaluator::evaluate(const MultiModeMapping& mapping,
   std::vector<ModeEvaluation> modes;
   modes.reserve(system_.omsm.mode_count());
   for (std::size_t m = 0; m < system_.omsm.mode_count(); ++m) {
-    const ModeEvalKey key = mode_key(m, mapping, cores);
+    ModeEvalKey key = mode_key(m, mapping, cores);
     if (const ModeEvaluation* hit = cache->find(key)) {
       modes.push_back(*hit);
       continue;
     }
     modes.push_back(evaluate_mode(m, mapping, cores));
-    cache->insert(key, modes.back());
+    cache->insert(std::move(key), modes.back());
   }
   return assemble(mapping, cores, std::move(modes));
 }

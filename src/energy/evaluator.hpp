@@ -116,20 +116,46 @@ struct Evaluation {
 /// demand from *other* modes, which is why it must be part of the key),
 /// and the evaluation fingerprint (scheduler + DVS backend + knobs).
 /// Everything else (architecture, technology library, task graphs) is
-/// fixed per system. Equality is exact, so a hash collision can never
-/// change a result — the unordered_map resolves it through full key
-/// comparison.
-struct ModeEvalKey {
-  std::uint32_t mode = 0;
-  std::uint64_t options_fingerprint = 0;
-  std::vector<PeId> task_to_pe;
-  std::vector<CoreSet> cores;
+/// fixed per system.
+///
+/// The constructor hashes the fields once, word-wise (mix_word, two PE
+/// ids per word), and the fields are read-only afterwards, so the stored
+/// hash can never go stale (a moved-from key is only ever destroyed); it
+/// is never serialized. Equality compares the hashes and then every
+/// field, so a hash collision can never change a result.
+class ModeEvalKey {
+public:
+  ModeEvalKey(std::uint32_t mode, std::uint64_t options_fingerprint,
+              std::vector<PeId> task_to_pe, std::vector<CoreSet> cores);
 
-  friend bool operator==(const ModeEvalKey&, const ModeEvalKey&) = default;
+  [[nodiscard]] std::uint32_t mode() const { return mode_; }
+  [[nodiscard]] std::uint64_t options_fingerprint() const {
+    return options_fingerprint_;
+  }
+  [[nodiscard]] const std::vector<PeId>& task_to_pe() const {
+    return task_to_pe_;
+  }
+  [[nodiscard]] const std::vector<CoreSet>& cores() const { return cores_; }
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+
+  friend bool operator==(const ModeEvalKey& a, const ModeEvalKey& b) {
+    return a.hash_ == b.hash_ && a.mode_ == b.mode_ &&
+           a.options_fingerprint_ == b.options_fingerprint_ &&
+           a.task_to_pe_ == b.task_to_pe_ && a.cores_ == b.cores_;
+  }
+
+private:
+  std::uint32_t mode_;
+  std::uint64_t options_fingerprint_;
+  std::vector<PeId> task_to_pe_;
+  std::vector<CoreSet> cores_;
+  std::uint64_t hash_;
 };
 
 struct ModeEvalKeyHash {
-  std::size_t operator()(const ModeEvalKey& key) const;
+  std::size_t operator()(const ModeEvalKey& key) const {
+    return static_cast<std::size_t>(key.hash());
+  }
 };
 
 /// Bounded FIFO memo of whole-mode pipeline results. Not thread-safe:
@@ -138,7 +164,7 @@ struct ModeEvalKeyHash {
 /// bitwise-identical to a cold evaluation — each entry stores the
 /// complete ModeEvaluation the pipeline produced.
 ///
-/// Self-healing: every entry carries an FNV-1a digest of its value,
+/// Self-healing: every entry carries a word-wise digest of its value,
 /// verified on lookup. An entry whose bytes no longer match (bit rot, a
 /// `cache.insert` corrupt failpoint) is *quarantined* — erased and
 /// reported as a miss — so the caller transparently recomputes instead
@@ -148,13 +174,20 @@ class ModeEvalCache {
 public:
   explicit ModeEvalCache(std::size_t capacity = 1 << 16)
       : capacity_(capacity) {}
+  // order_ points into map_'s nodes: a move keeps the nodes, a copy
+  // would not.
+  ModeEvalCache(const ModeEvalCache&) = delete;
+  ModeEvalCache& operator=(const ModeEvalCache&) = delete;
+  ModeEvalCache(ModeEvalCache&&) = default;
+  ModeEvalCache& operator=(ModeEvalCache&&) = default;
 
   /// Looks `key` up, counting one lookup (and a hit when found). The
   /// returned pointer is invalidated by the next insert().
   [[nodiscard]] const ModeEvaluation* find(const ModeEvalKey& key);
 
-  /// Inserts (FIFO-evicting at capacity); duplicate keys are ignored.
-  void insert(const ModeEvalKey& key, const ModeEvaluation& value);
+  /// Inserts (FIFO-evicting at capacity), taking over the caller's key;
+  /// duplicate keys are ignored.
+  void insert(ModeEvalKey key, const ModeEvaluation& value);
 
   /// Accounts one extra hit. Batch evaluators that dedup in-flight keys
   /// call this for an aliased lookup — the one-at-a-time execution they
@@ -196,7 +229,9 @@ private:
   long lookups_ = 0;
   long quarantined_ = 0;
   std::unordered_map<ModeEvalKey, Stored, ModeEvalKeyHash> map_;
-  std::deque<ModeEvalKey> order_;  // insertion order for FIFO eviction
+  // Insertion order for FIFO eviction: the keys inside map_'s nodes,
+  // whose addresses stay put until the node is erased.
+  std::deque<const ModeEvalKey*> order_;
 };
 
 /// Evaluates candidates against one system. The system reference must

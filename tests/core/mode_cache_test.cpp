@@ -1,8 +1,10 @@
 // Per-mode incremental-evaluation cache: the bitwise cached-vs-cold
 // contract (property-tested over random mutation chains), the GA-level
-// on/off result identity, hit-rate accounting, and FIFO bounding.
+// on/off result identity, hit-rate accounting, FIFO bounding, and the key
+// contract (one hash, the same wherever and however a key is made).
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "common/failpoint.hpp"
@@ -11,6 +13,7 @@
 #include "core/cosynth.hpp"
 #include "core/genome.hpp"
 #include "core/report.hpp"
+#include "core/run_control.hpp"
 #include "energy/evaluator.hpp"
 #include "tgff/suites.hpp"
 
@@ -123,11 +126,7 @@ TEST(ModeCache, FifoEvictionBoundsSize) {
   EXPECT_EQ(cache.capacity(), 4u);
 }
 
-ModeEvalKey key_of(std::uint32_t i) {
-  ModeEvalKey key;
-  key.mode = i;
-  return key;
-}
+ModeEvalKey key_of(std::uint32_t i) { return ModeEvalKey(i, 0, {}, {}); }
 
 TEST(ModeCache, DuplicateInsertAtCapacityEvictsNothing) {
   // Regression: inserting an already-present key while the cache is full
@@ -151,8 +150,129 @@ TEST(ModeCache, DuplicateInsertAtCapacityEvictsNothing) {
 
 std::vector<std::uint32_t> entry_order(const ModeEvalCache& cache) {
   std::vector<std::uint32_t> order;
-  for (const auto& [key, value] : cache.entries()) order.push_back(key.mode);
+  for (const auto& [key, value] : cache.entries()) order.push_back(key.mode());
   return order;
+}
+
+// ---- Key contract: the hash is computed once, wherever a key is made. --
+
+/// Round-trips `key` through a checkpoint file (write_mode_key and
+/// read_mode_key), which stores the fields but never the hash.
+ModeEvalKey checkpoint_round_trip(const ModeEvalKey& key) {
+  GaSnapshot snap;
+  snap.best = SnapshotIndividual{{0, 1}, 0.0, 0.0, 0.0,
+                                 false, false, false, false};
+  snap.mode_cache = {{key, ModeEvaluation{}}};
+  const std::string path =
+      std::string(::testing::TempDir()) + "mmsyn_mode_key_round_trip.ckpt";
+  save_checkpoint(path, snap);
+  GaSnapshot loaded = load_checkpoint(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(loaded.mode_cache.size(), 1u);
+  return std::move(loaded.mode_cache.at(0).first);
+}
+
+void expect_same_key(const ModeEvalKey& a, const ModeEvalKey& b) {
+  EXPECT_EQ(a.hash(), b.hash());
+  EXPECT_EQ(ModeEvalKeyHash{}(a), ModeEvalKeyHash{}(b));
+  EXPECT_TRUE(a == b);
+}
+
+TEST(ModeEvalKey, HashAgreesAcrossMakeRebuildAndCheckpoint) {
+  const System system = make_mul(6);
+  const Evaluator evaluator(system, EvaluationOptions{});
+  const GenomeCodec codec(system);
+  Rng rng(23);
+  const MultiModeMapping mapping = codec.decode(codec.random_genome(rng));
+  const CoreAllocation cores = build_core_allocation(system, mapping, {});
+  for (std::size_t m = 0; m < system.omsm.mode_count(); ++m) {
+    SCOPED_TRACE("mode " + std::to_string(m));
+    const ModeEvalKey made = evaluator.mode_key(m, mapping, cores);
+    expect_same_key(made, ModeEvalKey(made.mode(), made.options_fingerprint(),
+                                      made.task_to_pe(), made.cores()));
+    expect_same_key(made, checkpoint_round_trip(made));
+  }
+  // Odd and even PE counts (two PE ids share a hash word) and a core set
+  // with entries, built by hand.
+  std::vector<CoreSet> sets(3);
+  sets[2].set_count(TaskTypeId{5}, 2);
+  sets[2].set_count(TaskTypeId{7}, 1);
+  for (const std::vector<PeId>& pes :
+       {std::vector<PeId>{}, std::vector<PeId>{PeId{3}},
+        std::vector<PeId>{PeId{0}, PeId{2}, PeId{1}, PeId{2}}}) {
+    SCOPED_TRACE(std::to_string(pes.size()) + " PEs");
+    const ModeEvalKey key(4, 0xfeedfacecafebeefull, pes, sets);
+    expect_same_key(key, ModeEvalKey(4, 0xfeedfacecafebeefull, pes, sets));
+    expect_same_key(key, checkpoint_round_trip(key));
+  }
+}
+
+TEST(ModeEvalKey, KeysDifferingInOneFieldAreUnequal) {
+  const std::vector<PeId> pes{PeId{0}, PeId{1}, PeId{2}};
+  std::vector<CoreSet> sets(2);
+  sets[1].set_count(TaskTypeId{4}, 2);
+  const ModeEvalKey base(1, 0xabcdefull, pes, sets);
+
+  std::vector<PeId> other_pe = pes;
+  other_pe[1] = PeId{2};
+  std::vector<CoreSet> other_count = sets;
+  other_count[1].set_count(TaskTypeId{4}, 3);
+  std::vector<CoreSet> extra_set = sets;
+  extra_set.emplace_back();
+  const std::vector<std::pair<const char*, ModeEvalKey>> variants = {
+      {"mode", ModeEvalKey(2, 0xabcdefull, pes, sets)},
+      {"fingerprint", ModeEvalKey(1, 0xabcdf0ull, pes, sets)},
+      {"one PE", ModeEvalKey(1, 0xabcdefull, other_pe, sets)},
+      {"one core count", ModeEvalKey(1, 0xabcdefull, pes, other_count)},
+      {"extra empty CoreSet", ModeEvalKey(1, 0xabcdefull, pes, extra_set)},
+  };
+  for (const auto& [what, key] : variants) {
+    SCOPED_TRACE(what);
+    EXPECT_FALSE(key == base);
+    // Each mixing step is a bijection of the running hash, so a change
+    // to one word changes the hash too (the extra set adds words).
+    EXPECT_NE(key.hash(), base.hash());
+  }
+}
+
+/// A key with every field populated, distinct per `i`.
+ModeEvalKey full_key(std::uint32_t i) {
+  std::vector<CoreSet> sets(2);
+  sets[1].set_count(TaskTypeId{static_cast<TaskTypeId::value_type>(i)}, 1);
+  return ModeEvalKey(i, 0x5eedull,
+                     {PeId{static_cast<PeId::value_type>(i)}, PeId{1}},
+                     std::move(sets));
+}
+
+TEST(ModeCache, MovedKeysKeepFifoDuplicateAndQuarantineBehaviour) {
+  ModeEvalCache cache(/*capacity=*/2);
+  const ModeEvaluation value{};
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    ModeEvalKey key = full_key(i);
+    cache.insert(std::move(key), value);
+  }
+  // Duplicate at capacity: a no-op that leaves the FIFO order alone.
+  cache.insert(full_key(0), value);
+  EXPECT_EQ(entry_order(cache), (std::vector<std::uint32_t>{0, 1}));
+  // FIFO eviction drops the oldest key, found again through the map.
+  cache.insert(full_key(2), value);
+  EXPECT_EQ(entry_order(cache), (std::vector<std::uint32_t>{1, 2}));
+  EXPECT_EQ(cache.find(full_key(0)), nullptr);
+  EXPECT_NE(cache.find(full_key(1)), nullptr);
+
+  // A poisoned insert evicts as usual; the next lookup quarantines it.
+  failpoint::arm("cache.insert=corrupt");
+  cache.insert(full_key(3), value);
+  failpoint::disarm();
+  EXPECT_EQ(entry_order(cache), (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(cache.find(full_key(3)), nullptr);
+  EXPECT_EQ(cache.quarantined(), 1);
+  EXPECT_EQ(entry_order(cache), (std::vector<std::uint32_t>{2}));
+  // The quarantined slot is free again: re-inserting evicts nothing.
+  cache.insert(full_key(3), value);
+  EXPECT_EQ(entry_order(cache), (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_NE(cache.find(full_key(2)), nullptr);
+  EXPECT_NE(cache.find(full_key(3)), nullptr);
 }
 
 TEST(ModeCacheProperty, RestoreRoundTripsOrderUnderPressure) {

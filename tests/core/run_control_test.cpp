@@ -47,12 +47,10 @@ GaSnapshot sample_snapshot() {
   snap.cache = {snap.population[0], snap.population[1]};
 
   // Two per-mode memo entries of different shapes (v2 format section).
-  ModeEvalKey key0;
-  key0.mode = 0;
-  key0.options_fingerprint = 0xfeedfacecafebeefull;
-  key0.task_to_pe = {PeId{0}, PeId{2}, PeId{1}};
-  key0.cores.resize(2);
-  key0.cores[1].set_count(TaskTypeId{4}, 2);
+  std::vector<CoreSet> cores0(2);
+  cores0[1].set_count(TaskTypeId{4}, 2);
+  const ModeEvalKey key0(0, 0xfeedfacecafebeefull,
+                         {PeId{0}, PeId{2}, PeId{1}}, std::move(cores0));
   ModeEvaluation val0;
   val0.dyn_energy = 1.5e-3;
   val0.dyn_power = 0.3;
@@ -62,11 +60,8 @@ GaSnapshot sample_snapshot() {
   val0.pe_active = {true, false, true};
   val0.cl_active = {true};
   val0.routable = true;
-  ModeEvalKey key1;
-  key1.mode = 1;
-  key1.options_fingerprint = 0xfeedfacecafebeefull;
-  key1.task_to_pe = {PeId{1}};
-  key1.cores.resize(2);
+  const ModeEvalKey key1(1, 0xfeedfacecafebeefull, {PeId{1}},
+                         std::vector<CoreSet>(2));
   ModeEvaluation val1;
   val1.dyn_power = 0.125;
   val1.makespan = 2.0e-3;
@@ -255,6 +250,12 @@ TEST(Checkpoint, FallbackPrefersNewestGoodGeneration) {
 struct CorruptionCase {
   const char* name;
   void (*damage)(const std::string& path);
+
+  // Printed by name: gtest's default byte dump would put both pointers'
+  // addresses, which change from run to run, into the listed test name.
+  friend void PrintTo(const CorruptionCase& c, std::ostream* os) {
+    *os << c.name;
+  }
 };
 
 void damage_truncate(const std::string& path) {

@@ -181,12 +181,10 @@ GaSnapshot island_snapshot(std::uint64_t fingerprint, std::uint16_t base) {
       SnapshotIndividual{{2, b, 0}, 3.0, 0.5, 0.009, true, true, false, true},
   };
   snap.cache = {snap.population[1]};
-  ModeEvalKey key;
-  key.mode = 1;
-  key.options_fingerprint = 0xfeedfacecafebeefull;
-  key.task_to_pe = {PeId{0}, PeId{2}};
-  key.cores.resize(2);
-  key.cores[1].set_count(TaskTypeId{4}, 2);
+  std::vector<CoreSet> cores(2);
+  cores[1].set_count(TaskTypeId{4}, 2);
+  const ModeEvalKey key(1, 0xfeedfacecafebeefull, {PeId{0}, PeId{2}},
+                        std::move(cores));
   ModeEvaluation value;
   value.dyn_energy = 1.5e-3;
   value.dyn_power = 0.3;

@@ -19,6 +19,19 @@ cmake --build build -j "$JOBS"
 echo "== plain ctest =="
 (cd build && ctest --output-on-failure -j 2)
 
+echo "== test-name stability =="
+# ctest names each case by its --gtest_list_tests line. A parameter that
+# gtest prints as a raw byte dump puts pointer values into that line, so
+# the name changes from run to run; two listings must agree.
+for bin in build/tests/test_*; do
+  [ -x "$bin" ] || continue
+  if ! diff <("$bin" --gtest_list_tests) <("$bin" --gtest_list_tests) \
+      > /dev/null; then
+    echo "ci: FAIL ($bin lists different test names on two runs)"
+    exit 1
+  fi
+done
+
 echo "== mode-cache hit rates + pipeline stage profile =="
 # incremental_eval exits nonzero when the cached run diverges bytewise
 # from the cache-disabled one, so this doubles as the cache divergence

@@ -20,6 +20,11 @@
 # the good save #3. The resume must skip the hole and the corruption and
 # fall back to .2 — exercised with one more transient read fault armed.
 #
+# A last leg writes a hostile count into an otherwise valid checkpoint:
+# the newest generation's genome_length becomes 2^61 and its CRC is
+# recomputed, so only the decoder's count bound can reject it. The resume
+# must skip it with a note and finish from .1, byte-identically.
+#
 # Usage: crash_torture.sh [path-to-synthesize_file]
 set -euo pipefail
 
@@ -94,11 +99,49 @@ if ! grep -q 'resumed from older generation .*run\.ckpt\.2' "$WORK/recovered.err
   exit 1
 fi
 
-if diff -u "$WORK/reference.txt" "$WORK/recovered.txt"; then
-  echo "crash_torture: PASS — recovered report is byte-identical to the" \
-       "fault-free run"
-else
+if ! diff -u "$WORK/reference.txt" "$WORK/recovered.txt"; then
   echo "crash_torture: FAIL — recovered report differs from the fault-free" \
        "run" >&2
   exit 1
 fi
+
+# Hostile-count leg: a fault-free checkpointed run, then the newest
+# generation's genome_length (file offset 64: 20-byte file header,
+# 28-byte island container header, the island's u64 length and u64
+# fingerprint) set to 2^61 with the payload CRC recomputed.
+"$BIN" --input "$WORK/sys.mmsyn" "${FLAGS[@]}" \
+  --checkpoint "$WORK/hostile.ckpt" --checkpoint-every 7 \
+  --checkpoint-keep 3 > /dev/null
+python3 - "$WORK/hostile.ckpt" <<'PY'
+import struct, sys, zlib
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[64:72] = struct.pack("<Q", 1 << 61)
+data[-4:] = struct.pack("<I", zlib.crc32(bytes(data[20:-4])) & 0xFFFFFFFF)
+open(path, "wb").write(data)
+PY
+set +e
+"$BIN" --input "$WORK/sys.mmsyn" "${FLAGS[@]}" \
+  --resume "$WORK/hostile.ckpt" --checkpoint-keep 3 \
+  > "$WORK/hostile.txt" 2> "$WORK/hostile.err"
+STATUS=$?
+set -e
+if [ "$STATUS" -ne 0 ]; then
+  echo "crash_torture: FAIL — resume of the hostile-count checkpoint" \
+       "exited $STATUS" >&2
+  cat "$WORK/hostile.err" >&2
+  exit 1
+fi
+if ! grep -q 'skipped checkpoint generation.*item count' "$WORK/hostile.err"; then
+  echo "crash_torture: FAIL — no skip note for the hostile count" >&2
+  cat "$WORK/hostile.err" >&2
+  exit 1
+fi
+if ! diff -u "$WORK/reference.txt" "$WORK/hostile.txt"; then
+  echo "crash_torture: FAIL — report resumed past the hostile count differs" \
+       "from the fault-free run" >&2
+  exit 1
+fi
+
+echo "crash_torture: PASS — recovered reports are byte-identical to the" \
+     "fault-free run"

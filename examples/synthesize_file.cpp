@@ -61,16 +61,9 @@ int main(int argc, char** argv) {
                       "write the synthesised mapping to this file");
   flags.define_string("evaluate-mapping", "",
                       "skip synthesis; evaluate this mapping file instead");
-  flags.define_choice("rng", {"threefry", "legacy"},
-                      /*default_value=*/"threefry",
-                      /*implicit_value=*/"threefry",
-                      "GA random-stream engine: counter-based threefry "
-                      "(default) or legacy xoshiro256++ for reproducing "
-                      "pre-v6 runs bit-for-bit");
   flags.define_int("islands", 1,
                    "GA islands (independent populations exchanging elites "
-                   "along a deterministic ring; requires --rng=threefry "
-                   "when > 1)");
+                   "along a deterministic ring)");
   flags.define_int("migration-interval", 20,
                    "generations between island migration barriers");
   flags.define_int("migrants", 2,
@@ -125,8 +118,6 @@ int main(int argc, char** argv) {
     validate(job);
     options = to_synthesis_options(job);
     if (flags.get_bool("profile")) options.profiler = &profiler;
-    options.ga.rng = flags.get_string("rng") == "legacy" ? RngKind::kXoshiro
-                                                         : RngKind::kThreefry;
     options.ga.mode_cache_capacity = static_cast<std::size_t>(
         flags.get_int_in("mode-cache-capacity", 0, kInt64Max));
     options.islands =

@@ -4,9 +4,9 @@
 //
 // Integers are little-endian, doubles travel by bit pattern, booleans as
 // one byte, strings as a u32 length followed by the raw bytes. The reader
-// is bounds-checked and throws the format's own error type (`Error`, any
-// type constructible from a std::string), so callers keep dispatching on
-// WireError, JournalError or CheckpointError.
+// is bounds-checked, decoded item counts included, and throws the format's
+// own error type (`Error`, any type constructible from a std::string), so
+// callers keep dispatching on WireError, JournalError or CheckpointError.
 #pragma once
 
 #include <bit>
@@ -68,6 +68,18 @@ public:
     const std::string_view slice = data_.substr(pos_, n);
     pos_ += n;
     return slice;
+  }
+
+  /// A u64 item count, checked against the bytes left: every item takes
+  /// at least `min_bytes_per_item` (>= 1) bytes, so a count that no rest
+  /// of the payload could hold throws before anything is sized from it.
+  /// Dividing instead of multiplying keeps the check free of overflow.
+  std::uint64_t count(std::size_t min_bytes_per_item) {
+    const std::uint64_t n = u64();
+    if (n > (data_.size() - pos_) / min_bytes_per_item)
+      throw Error("item count " + std::to_string(n) +
+                  " exceeds the bytes left in the payload");
+    return n;
   }
 
   [[nodiscard]] bool done() const { return pos_ == data_.size(); }

@@ -6,20 +6,19 @@
 // §12):
 //
 //  - kXoshiro: xoshiro256++ (public-domain algorithm by Blackman & Vigna),
-//    the original *stateful* engine. Still the default constructor so the
-//    benchmark generator and every historic stream stay byte-identical,
-//    and selectable in the GA via the `--rng=legacy` compatibility flag.
+//    the original *stateful* engine. Still the default constructor, so
+//    the benchmark generator (tgff), the smart-phone instance and the
+//    simulator keep their historic streams byte-identical.
 //  - kThreefry: a Threefry2x64-style *counter-based* engine (Salmon et
 //    al., "Parallel random numbers: as easy as 1, 2, 3"). The n-th draw
 //    is a pure function of (seed, n), so streams can be split, replayed
-//    or leapfrogged across any thread count or future island
-//    decomposition without serialising a hidden state evolution. The GA
-//    defaults to this engine.
+//    or leapfrogged across any thread count or island decomposition
+//    without serialising a hidden state evolution. The GA always draws
+//    from this engine.
 //
-// Both engines expose their state as the same 4-word array, so the GA
-// checkpoint format (run_control.hpp, `rng_state`) carries either
-// without a version bump; the engine choice itself is part of the GA's
-// state fingerprint.
+// Both engines expose their state as the same 4-word array; the GA
+// checkpoint (run_control.hpp, `rng_state`) stores the Threefry key,
+// block counter and stream id in it.
 #pragma once
 
 #include <array>

@@ -55,53 +55,26 @@ Evaluation final_evaluation(const System& system,
   return final_evaluator.evaluate(result.mapping, result.cores);
 }
 
-/// The island-sharded route of synthesize(): same shape as the plain
-/// route — build, resume, run, final fine-DVS evaluation — with the
-/// island container checkpoint machinery.
-SynthesisResult synthesize_islands(const System& system,
-                                   const SynthesisOptions& options,
-                                   RunControl* control) {
-  const IslandOptions topology = island_topology(options);
-  const Evaluator loop_evaluator(system,
-                                 make_eval_options(system, options, false));
-  IslandGa ga(system, loop_evaluator, options.fitness, options.allocation,
-              options.ga, topology, options.seed);
-  if (control && !control->resume_path.empty()) {
-    IslandCheckpointLoadResult loaded = load_island_checkpoint_fallback(
-        control->resume_path, control->checkpoint_keep_generations,
-        ga.state_fingerprint());
-    for (const std::string& note : loaded.notes)
-      control->log_recovery("skipped checkpoint generation: " + note);
-    if (loaded.generation > 0)
-      control->log_recovery("resumed from older generation " +
-                            loaded.loaded_path);
-    ga.restore(loaded.snapshot);
-  }
-  SynthesisResult result = ga.run({}, control);
-  result.evaluation = final_evaluation(system, options, result);
-  return result;
-}
-
 }  // namespace
 
 SynthesisResult synthesize(const System& system,
                            const SynthesisOptions& options,
                            RunControl* control) {
-  IslandGa::validate(options.ga, island_topology(options));
+  const IslandOptions topology = island_topology(options);
+  IslandGa::validate(options.ga, topology);
   finalize_mode_graphs(system);
-  if (options.islands != 1) return synthesize_islands(system, options, control);
 
   const Evaluator loop_evaluator(system,
                                  make_eval_options(system, options, false));
-  MappingGa ga(system, loop_evaluator, options.fitness, options.allocation,
-               options.ga, options.seed);
+  IslandGa ga(system, loop_evaluator, options.fitness, options.allocation,
+              options.ga, topology, options.seed);
   if (control && !control->resume_path.empty()) {
     // Recovery-aware resume: fall back through the kept generations when
     // the newest checkpoint is torn, corrupt, or from a different
     // configuration, and surface each skip in the recovery log.
-    CheckpointLoadResult loaded = load_checkpoint_fallback(
+    IslandCheckpointLoadResult loaded = load_island_checkpoint_fallback(
         control->resume_path, control->checkpoint_keep_generations,
-        ga.state_fingerprint());
+        CheckpointExpectation{ga.island_count(), ga.state_fingerprint()});
     for (const std::string& note : loaded.notes)
       control->log_recovery("skipped checkpoint generation: " + note);
     if (loaded.generation > 0)

@@ -65,7 +65,7 @@ MappingGa::MappingGa(const System& system, const Evaluator& evaluator,
       options_(options),
       codec_(system),
       seed_(seed),
-      rng_(options.rng, seed, options.rng_stream),
+      rng_(RngKind::kThreefry, seed, options.rng_stream),
       mode_cache_(options.mode_cache_capacity) {
   const int threads = ThreadPool::resolve_thread_count(options_.num_threads);
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
@@ -352,7 +352,9 @@ std::uint64_t MappingGa::state_fingerprint() const {
       .add(options_.shutdown_improvement_rate)
       .add(options_.infeasibility_trigger)
       .add(options_.improvement_sweep_fraction)
-      .add(static_cast<int>(options_.rng))
+      // The engine is no longer an option; hashing the constant keeps
+      // every fingerprint (and checkpoint byte) as it was.
+      .add(static_cast<int>(RngKind::kThreefry))
       .add(options_.rng_stream);
   h.add(fitness_params_.area_weight)
       .add(fitness_params_.transition_weight)
@@ -1020,39 +1022,6 @@ SynthesisResult MappingGa::harvest(const LoopState& st) {
   if (result.partial && result.stop_reason == StopReason::kNone)
     result.stop_reason = StopReason::kCancelled;
   return result;
-}
-
-SynthesisResult MappingGa::run(
-    const std::function<void(const GaProgress&)>& observer,
-    RunControl* control) {
-  LoopState st;
-  start_loop(st);
-
-  while (st.generation < options_.max_generations) {
-    // Generation boundary: the state right here is exactly what a
-    // checkpoint captures, so a cooperative stop both persists it (when
-    // checkpointing is on) and degrades gracefully to the best-so-far.
-    if (control && control->should_stop(loop_elapsed(st))) {
-      if (control->checkpointing_enabled())
-        control->write_checkpoint(snapshot(st));
-      st.partial = true;
-      st.stop_reason = control->budget_exhausted(loop_elapsed(st))
-                           ? StopReason::kBudgetExhausted
-                           : StopReason::kCancelled;
-      break;
-    }
-
-    if (!step_generation(st, observer)) break;
-
-    // Periodic checkpoint at the end of the generation body — the state
-    // here is "entering st.generation", the same shape the cooperative
-    // stop above persists (step_generation already advanced the counter).
-    if (control && control->checkpoint_due(st.generation - 1))
-      control->write_checkpoint(snapshot(st));
-  }
-
-  finish_loop(st, control);
-  return harvest(st);
 }
 
 }  // namespace mmsyn

@@ -118,23 +118,17 @@ struct GaOptions {
   /// never runs inside the parallel region (see DESIGN.md §8).
   int num_threads = 1;
 
-  /// Random-stream engine. The default counter-based generator (Threefry)
-  /// derives every draw from (seed, counter) alone, so streams are
-  /// reproducible across checkpoint/resume and any `num_threads` by
-  /// construction. Set to RngKind::kXoshiro to reproduce the historic
-  /// xoshiro256** streams of earlier releases bit-for-bit (see DESIGN.md
-  /// §12). Part of the checkpoint fingerprint: resuming a run under a
-  /// different engine is rejected.
-  RngKind rng = RngKind::kThreefry;
-
   /// Threefry stream id of this GA's random stream (see rng_streams in
-  /// common/rng.hpp). Stream 0 — the default — is the legacy
-  /// single-population stream; the island driver gives every island its
-  /// own kIsland-domain stream, so island trajectories are a pure
+  /// common/rng.hpp). The GA always draws from the counter-based Threefry
+  /// engine, so every draw is a function of (seed, stream, counter) and
+  /// reproducible across checkpoint/resume and any `num_threads` (see
+  /// DESIGN.md §12). Stream 0 — the default — is the single-population
+  /// stream; the island driver gives every island of a multi-island run
+  /// its own kIsland-domain stream, so island trajectories are a pure
   /// function of (seed, island) and disjoint from the base stream by
-  /// construction. Nonzero values require the Threefry engine. Part of
-  /// the checkpoint fingerprint: an island checkpoint cannot be resumed
-  /// into a different island slot (or into a single-population run).
+  /// construction. Part of the checkpoint fingerprint: an island
+  /// checkpoint cannot be resumed into a different island slot (or into a
+  /// single-population run).
   std::uint64_t rng_stream = 0;
 
   /// Shut-down improvement probability per individual per generation.
@@ -211,16 +205,7 @@ public:
             GaOptions options, std::uint64_t seed);
   ~MappingGa();
 
-  /// Runs to convergence. `observer` (optional) is invoked once per
-  /// generation. `control` (optional) adds time-budget / cancellation
-  /// checks and periodic checkpoints at generation boundaries (see
-  /// core/run_control.hpp); a controlled stop returns the best individual
-  /// found so far with `SynthesisResult::partial` set.
-  [[nodiscard]] SynthesisResult run(
-      const std::function<void(const GaProgress&)>& observer = {},
-      RunControl* control = nullptr);
-
-  /// Restores the state captured by a checkpoint so the next run()
+  /// Restores the state captured by a checkpoint so the next start_loop()
   /// continues bit-identically to the uninterrupted run. Throws
   /// CheckpointError when the snapshot's fingerprint does not match this
   /// GA's configuration (different seed, options, or system).
@@ -250,15 +235,15 @@ public:
   /// counters and for tests).
   [[nodiscard]] ModeEvalCache& mode_cache() { return mode_cache_; }
 
-  // ---- Island-stepping interface (DESIGN.md §14) ------------------------
+  // ---- Stepping interface (DESIGN.md §14) -------------------------------
   //
-  // run() is exactly `start_loop` + `step_generation` until it returns
-  // false (or the caller stops) + `finish_loop` + `harvest`. IslandGa
-  // drives the same pieces, inserting migration barriers between
-  // fixed-length blocks of step_generation calls — which is why the loop
-  // state lives in an explicit struct instead of run()'s stack frame.
-  // Internal API: exposed for the island driver and its tests, not a
-  // stability surface.
+  // A run is `start_loop` + `step_generation` until it returns false (or
+  // the caller stops) + `finish_loop` + `harvest`. IslandGa (the driver
+  // every synthesize() run goes through) calls these pieces, inserting
+  // migration barriers between fixed-length blocks of step_generation
+  // calls when it has several islands — which is why the loop state lives
+  // in an explicit struct. Internal API: exposed for the island driver,
+  // perfbench and tests, not a stability surface.
 
   struct Individual {
     Genome genome;
@@ -273,7 +258,7 @@ public:
     double power_true = 0.0;
   };
 
-  /// Everything run() used to keep on its stack between generations.
+  /// The loop state a driver keeps between generations.
   struct LoopState {
     Individual best;
     int stagnation = 0;
@@ -393,7 +378,7 @@ private:
   long cache_hits_ = 0;
   long cache_lookups_ = 0;
 
-  /// Restored checkpoint state consumed by the next run(); null when
+  /// Restored checkpoint state consumed by the next start_loop(); null when
   /// starting fresh (see restore()).
   std::unique_ptr<GaSnapshot> restored_;
 

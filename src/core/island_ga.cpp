@@ -50,11 +50,6 @@ void IslandGa::validate(const GaOptions& ga_options,
         std::to_string(island_options.islands) + ")");
   if (island_options.islands == 1) return;  // the remaining knobs are
                                             // island-model-only
-  if (ga_options.rng != RngKind::kThreefry)
-    throw std::invalid_argument(
-        "islands: island sharding derives each island's random stream from "
-        "the counter-based Threefry engine; drop --rng=legacy (the stateful "
-        "xoshiro engine has no counter to partition) or run with --islands=1");
   if (ga_options.rng_stream != 0)
     throw std::invalid_argument(
         "islands: the island driver owns the rng_stream assignment; leave "
@@ -96,7 +91,7 @@ IslandGa::IslandGa(const System& system, const Evaluator& evaluator,
       // (seed, island index), disjoint from the legacy stream 0 — and an
       // even share of the thread budget (the coordinator fans the islands
       // themselves out over outer_threads_). A single island keeps stream
-      // 0 and the caller's thread count, so IslandGa(1) is the plain GA.
+      // 0 and the caller's thread count: it is the single-population GA.
       options.rng_stream =
           rng_streams::island_stream(static_cast<std::uint32_t>(i));
       options.num_threads = std::max(1, resolved / n);
@@ -114,6 +109,9 @@ int IslandGa::island_count() const {
 }
 
 std::uint64_t IslandGa::state_fingerprint() const {
+  // One island is the single-population GA and keeps its checkpoint
+  // identity: the migration knobs play no part in its trajectory.
+  if (islands_.size() == 1) return islands_.front()->ga.state_fingerprint();
   Fnv1a64 h;
   h.add(island_options_.islands)
       .add(island_options_.migration_interval)
@@ -128,10 +126,12 @@ IslandSnapshot IslandGa::make_snapshot() const {
   IslandSnapshot s;
   s.fingerprint = state_fingerprint();
   s.island_count = static_cast<std::int32_t>(islands_.size());
-  s.migration_interval =
-      static_cast<std::int32_t>(island_options_.migration_interval);
-  s.migrants = static_cast<std::int32_t>(island_options_.migrants);
-  s.next_migration_generation = next_migration_;
+  if (islands_.size() > 1) {  // one island has no migration schedule: 0s
+    s.migration_interval =
+        static_cast<std::int32_t>(island_options_.migration_interval);
+    s.migrants = static_cast<std::int32_t>(island_options_.migrants);
+    s.next_migration_generation = next_migration_;
+  }
   s.islands.reserve(islands_.size());
   for (const auto& island : islands_)
     s.islands.push_back(island->ga.snapshot(island->st));
@@ -203,10 +203,18 @@ SynthesisResult IslandGa::run(
   std::atomic<bool> stopped{false};
   ThreadPool pool(outer_threads_);
   const std::function<void(const GaProgress&)> no_observer{};
+  // One island has no barriers: its segment runs to the generation cap and
+  // checkpoints on the checkpoint_every cadence instead (multi-island runs
+  // checkpoint at their barriers). A zero migration_interval, which only
+  // one island accepts, therefore never becomes an empty segment.
+  const bool single = islands_.size() == 1;
 
   while (true) {
-    const int target = static_cast<int>(std::min<std::int64_t>(
-        next_migration_, static_cast<std::int64_t>(max_generations_)));
+    const int target =
+        single ? max_generations_
+               : static_cast<int>(std::min<std::int64_t>(
+                     next_migration_,
+                     static_cast<std::int64_t>(max_generations_)));
     pool.parallel_for(islands_.size(), [&](std::size_t i) {
       Island& island = *islands_[i];
       while (!island.st.converged && island.st.generation < target) {
@@ -220,6 +228,11 @@ SynthesisResult IslandGa::run(
                                        i == 0 ? observer : no_observer)) {
           return;
         }
+        // The state here enters st.generation, the same shape a stop
+        // checkpoint captures (step_generation advanced the counter).
+        if (single && control != nullptr &&
+            control->checkpoint_due(island.st.generation - 1))
+          control->write_island_checkpoint(make_snapshot());
       }
     });
 

@@ -1,4 +1,5 @@
-// Island-model sharding of the mapping GA (DESIGN.md §14).
+// Island-model sharding of the mapping GA (DESIGN.md §14) — the one route
+// every synthesize() run takes; a single-population run is one island.
 //
 // N islands evolve independent populations as in-process shards, each on
 // its own counter-based RNG stream (stream id = rng_streams::island_stream
@@ -27,10 +28,11 @@ struct IslandSnapshot;
 /// Island-topology knobs (the GA itself is configured by GaOptions; every
 /// island runs identical options apart from its rng_stream).
 struct IslandOptions {
-  /// Number of islands; 1 degenerates to the plain single-population GA
-  /// (same stream 0, bit-identical trajectory).
+  /// Number of islands; 1 is the single-population GA (stream 0, no
+  /// barriers, the GA's own fingerprint).
   int islands = 1;
-  /// Generations between migration barriers.
+  /// Generations between migration barriers (ignored, and allowed to be 0,
+  /// at one island).
   int migration_interval = 20;
   /// Elite individuals exchanged per barrier along the ring.
   int migrants = 2;
@@ -42,7 +44,10 @@ struct IslandOptions {
 /// repeat. Checkpoints (island containers, format v4) are written at
 /// every barrier and on a cooperative stop; resume restores each island
 /// and the barrier position, after which the run is bit-identical to one
-/// that was never interrupted.
+/// that was never interrupted. One island has no barriers: it runs to the
+/// generation cap, checkpointing after every generation where
+/// RunControl::checkpoint_due holds and on a cooperative stop, and its
+/// container carries 0 for every migration field.
 class IslandGa {
 public:
   /// Throws std::invalid_argument (with a flag-level actionable message)
@@ -80,7 +85,8 @@ public:
 
   /// Fingerprint of the whole sharded configuration: island count,
   /// migration schedule, and every per-island GA fingerprint (which embed
-  /// the seed, the GA options, and the per-island rng_stream).
+  /// the seed, the GA options, and the per-island rng_stream). With one
+  /// island it is that island's MappingGa::state_fingerprint.
   [[nodiscard]] std::uint64_t state_fingerprint() const;
 
   [[nodiscard]] int island_count() const;

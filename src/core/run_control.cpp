@@ -41,6 +41,13 @@ constexpr std::uint32_t kVersion = 6;
 
 using Reader = ByteReader<CheckpointError>;
 
+// Fewest bytes one encoded item can take. Every count is checked against
+// the bytes left before anything is sized from it (ByteReader::count).
+constexpr std::size_t kIndividualFixedBytes = 3 * 8 + 4;  // + 2 per gene
+constexpr std::size_t kModeCacheEntryBytes =
+    (4 + 8 + 8 + 8) +              // key: mode, fingerprint, two counts
+    (5 * 8 + 8 + 8 + 1 + 4 * 8);   // value: doubles, two counts, routable
+
 void write_individual(ByteWriter& w, const SnapshotIndividual& ind,
                       std::size_t genome_length) {
   if (ind.genome.size() != genome_length)
@@ -88,14 +95,14 @@ void write_mode_key(ByteWriter& w, const ModeEvalKey& key) {
 ModeEvalKey read_mode_key(Reader& r) {
   const std::uint32_t mode = r.u32();
   const std::uint64_t options_fingerprint = r.u64();
-  const std::uint64_t n_tasks = r.u64();
+  const std::uint64_t n_tasks = r.count(4);
   std::vector<PeId> task_to_pe;
   task_to_pe.reserve(n_tasks);
   for (std::uint64_t i = 0; i < n_tasks; ++i)
     task_to_pe.push_back(PeId{static_cast<PeId::value_type>(r.i32())});
-  std::vector<CoreSet> cores(r.u64());
+  std::vector<CoreSet> cores(r.count(8));
   for (CoreSet& set : cores) {
-    const std::uint64_t n_entries = r.u64();
+    const std::uint64_t n_entries = r.count(8);
     for (std::uint64_t e = 0; e < n_entries; ++e) {
       const TaskTypeId type{static_cast<TaskTypeId::value_type>(r.i32())};
       set.set_count(type, r.i32());
@@ -134,10 +141,10 @@ ModeEvaluation read_mode_evaluation(Reader& r) {
   m.static_power = r.f64();
   m.timing_violation = r.f64();
   m.makespan = r.f64();
-  m.pe_active.resize(r.u64());
+  m.pe_active.resize(r.count(1));
   for (std::size_t i = 0; i < m.pe_active.size(); ++i)
     m.pe_active[i] = r.boolean();
-  m.cl_active.resize(r.u64());
+  m.cl_active.resize(r.count(1));
   for (std::size_t i = 0; i < m.cl_active.size(); ++i)
     m.cl_active[i] = r.boolean();
   m.routable = r.boolean();
@@ -189,7 +196,9 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   Reader r(payload);
   GaSnapshot s;
   s.fingerprint = r.u64();
-  const std::size_t genome_length = r.u64();
+  const std::size_t genome_length = r.count(2);
+  const std::size_t individual_bytes =
+      kIndividualFixedBytes + 2 * genome_length;
   s.next_generation = r.i32();
   s.stagnation = r.i32();
   s.converged = r.boolean();
@@ -203,17 +212,17 @@ GaSnapshot deserialize_ga(std::string_view payload) {
   for (std::uint64_t& word : s.rng_state) word = r.u64();
   s.has_best = r.boolean();
   s.best = read_individual(r, genome_length);
-  const std::uint64_t population_count = r.u64();
+  const std::uint64_t population_count = r.count(individual_bytes);
   s.population.reserve(population_count);
   for (std::uint64_t i = 0; i < population_count; ++i)
     s.population.push_back(read_individual(r, genome_length));
-  const std::uint64_t cache_count = r.u64();
+  const std::uint64_t cache_count = r.count(individual_bytes);
   s.cache.reserve(cache_count);
   for (std::uint64_t i = 0; i < cache_count; ++i)
     s.cache.push_back(read_individual(r, genome_length));
   s.mode_cache_hits = r.i64();
   s.mode_cache_lookups = r.i64();
-  const std::uint64_t mode_cache_count = r.u64();
+  const std::uint64_t mode_cache_count = r.count(kModeCacheEntryBytes);
   s.mode_cache.reserve(mode_cache_count);
   for (std::uint64_t i = 0; i < mode_cache_count; ++i) {
     ModeEvalKey key = read_mode_key(r);
@@ -258,19 +267,11 @@ IslandSnapshot deserialize_container(std::string_view payload) {
   if (s.island_count < 1)
     throw CheckpointError("island container declares " +
                           std::to_string(s.island_count) + " islands");
-  s.islands.reserve(static_cast<std::size_t>(s.island_count));
+  // No reserve: the count is only trusted as far as the payloads that
+  // follow it, so a hostile count fails on the first missing island.
   for (std::int32_t i = 0; i < s.island_count; ++i)
     s.islands.push_back(deserialize_ga(r.raw(r.u64())));
   if (!r.done()) throw CheckpointError("trailing bytes in payload");
-  return s;
-}
-
-/// Wraps a single-population snapshot as the one-island container.
-IslandSnapshot wrap_single(const GaSnapshot& snapshot) {
-  IslandSnapshot s;
-  s.fingerprint = snapshot.fingerprint;
-  s.island_count = 1;
-  s.islands.push_back(snapshot);
   return s;
 }
 
@@ -291,11 +292,11 @@ std::string checkpoint_generation_path(const std::string& path,
   return generation <= 0 ? path : path + "." + std::to_string(generation);
 }
 
-namespace {
-
-void save_payload_rotating(const std::string& path, const std::string& payload,
-                           int keep) {
+void save_island_checkpoint_rotating(const std::string& path,
+                                     const IslandSnapshot& snapshot,
+                                     int keep) {
   if (keep < 1) keep = 1;
+  const std::string payload = serialize_container(snapshot);
 
   ByteWriter w;
   w.raw(std::string_view(kMagic, sizeof kMagic));
@@ -348,24 +349,6 @@ void save_payload_rotating(const std::string& path, const std::string& payload,
   fsync_parent_dir(path);
 }
 
-}  // namespace
-
-void save_checkpoint_rotating(const std::string& path,
-                              const GaSnapshot& snapshot, int keep) {
-  save_payload_rotating(path, serialize_container(wrap_single(snapshot)),
-                        keep);
-}
-
-void save_island_checkpoint_rotating(const std::string& path,
-                                     const IslandSnapshot& snapshot,
-                                     int keep) {
-  save_payload_rotating(path, serialize_container(snapshot), keep);
-}
-
-void save_checkpoint(const std::string& path, const GaSnapshot& snapshot) {
-  save_checkpoint_rotating(path, snapshot, /*keep=*/1);
-}
-
 IslandSnapshot load_island_checkpoint(const std::string& path) {
   std::string file;
   try {
@@ -407,59 +390,31 @@ IslandSnapshot load_island_checkpoint(const std::string& path) {
   return deserialize_container(payload);
 }
 
-GaSnapshot load_checkpoint(const std::string& path) {
-  IslandSnapshot container = load_island_checkpoint(path);
-  if (container.island_count != 1)
-    throw CheckpointError(
-        path + " is an island-model checkpoint (" +
-        std::to_string(container.island_count) +
-        " islands); resume it with --islands=" +
-        std::to_string(container.island_count) +
-        " and the matching migration schedule instead of a "
-        "single-population run");
-  return std::move(container.islands.front());
-}
-
-CheckpointLoadResult load_checkpoint_fallback(
-    const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint) {
-  if (keep < 1) keep = 1;
-  CheckpointLoadResult result;
-  for (int gen = 0; gen < keep; ++gen) {
-    const std::string gen_path = checkpoint_generation_path(path, gen);
-    try {
-      GaSnapshot snapshot = load_checkpoint(gen_path);
-      if (expected_fingerprint.has_value() &&
-          snapshot.fingerprint != *expected_fingerprint)
-        throw CheckpointError("configuration fingerprint mismatch: " +
-                              gen_path);
-      result.snapshot = std::move(snapshot);
-      result.loaded_path = gen_path;
-      result.generation = gen;
-      return result;
-    } catch (const CheckpointError& e) {
-      result.notes.emplace_back(e.what());
-    }
-  }
-  std::string message = "no usable checkpoint generation under " + path;
-  for (const std::string& note : result.notes) message += "; " + note;
-  throw CheckpointError(message);
-}
-
 IslandCheckpointLoadResult load_island_checkpoint_fallback(
     const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint) {
+    std::optional<CheckpointExpectation> expected) {
   if (keep < 1) keep = 1;
   IslandCheckpointLoadResult result;
   for (int gen = 0; gen < keep; ++gen) {
     const std::string gen_path = checkpoint_generation_path(path, gen);
     try {
       IslandSnapshot snapshot = load_island_checkpoint(gen_path);
-      if (expected_fingerprint.has_value() &&
-          snapshot.fingerprint != *expected_fingerprint)
-        throw CheckpointError(
-            "island configuration fingerprint mismatch (different island "
-            "count, migration schedule, seed, or GA options): " + gen_path);
+      // The island count first: its mismatch is the one a user fixes with
+      // a flag, and the fingerprint would hide it.
+      if (expected.has_value()) {
+        if (snapshot.island_count != expected->island_count)
+          throw CheckpointError(
+              gen_path + " holds " + std::to_string(snapshot.island_count) +
+              " island(s) but this run has " +
+              std::to_string(expected->island_count) +
+              "; resume it with --islands=" +
+              std::to_string(snapshot.island_count) +
+              " and the matching migration schedule");
+        if (snapshot.fingerprint != expected->fingerprint)
+          throw CheckpointError(
+              "configuration fingerprint mismatch (different migration "
+              "schedule, seed, GA options, or system): " + gen_path);
+      }
       result.snapshot = std::move(snapshot);
       result.loaded_path = gen_path;
       result.generation = gen;
@@ -478,19 +433,6 @@ void RunControl::write_island_checkpoint(const IslandSnapshot& snapshot) const {
   try {
     save_island_checkpoint_rotating(checkpoint_path, snapshot,
                                     checkpoint_keep_generations);
-  } catch (const CheckpointError& e) {
-    ++checkpoint_write_failures_;
-    log_recovery(std::string("tolerated checkpoint write failure (run "
-                             "continues on older generations): ") +
-                 e.what());
-  }
-}
-
-void RunControl::write_checkpoint(const GaSnapshot& snapshot) const {
-  if (checkpoint_path.empty()) return;
-  try {
-    save_checkpoint_rotating(checkpoint_path, snapshot,
-                             checkpoint_keep_generations);
   } catch (const CheckpointError& e) {
     ++checkpoint_write_failures_;
     log_recovery(std::string("tolerated checkpoint write failure (run "

@@ -1,7 +1,8 @@
 // Crash-safe run control for long synthesis runs.
 //
-// A `RunControl` handle threaded through `synthesize()` / `MappingGa::run`
-// adds three behaviours to an otherwise all-or-nothing GA run:
+// A `RunControl` handle threaded through `synthesize()` (and from there
+// through the island driver, `IslandGa::run`, which every run goes
+// through) adds three behaviours to an otherwise all-or-nothing GA run:
 //
 //  * a wall-clock budget — the run stops at the next generation boundary
 //    once the budget is exhausted;
@@ -10,9 +11,16 @@
 //    generation boundary;
 //  * periodic checkpoints — the complete GA state (generation, population,
 //    RNG state, best-so-far, memo cache, counters) is serialized to a
-//    versioned, CRC-protected file every N generations and on every
-//    cooperative stop, so `resume_path` can continue the run later
-//    **bit-identically** to an uninterrupted run with the same seed.
+//    versioned, CRC-protected file every N generations (one island) or at
+//    every migration barrier (several islands), and on every cooperative
+//    stop, so `resume_path` can continue the run later **bit-identically**
+//    to an uninterrupted run with the same seed.
+//
+// Every checkpoint file is an island container (`IslandSnapshot`) holding
+// one `GaSnapshot` per island; a single-population run is the one-island
+// case. Decoding bounds every count by the bytes left in the payload, so a
+// CRC-valid file with a hostile count is a CheckpointError — which the
+// newest-good fallback skips — never an allocation failure.
 //
 // A budget/cancel stop is graceful: the GA still returns the best
 // individual found so far and the result is flagged `partial = true`.
@@ -72,8 +80,8 @@ struct GaSnapshot {
   /// The convergence criterion has fired (v4): the diversity term of that
   /// criterion is measured on the pre-breeding population, so a resumed
   /// island could not re-derive the decision from the snapshot alone.
-  /// Single-population checkpoints always carry false — the run loop
-  /// stops at the first converged generation and never snapshots it.
+  /// One-island checkpoints always carry false — the run loop stops at
+  /// the first converged generation and never snapshots it.
   bool converged = false;
   int area_infeasible_streak = 0;
   int timing_infeasible_streak = 0;
@@ -98,17 +106,19 @@ struct GaSnapshot {
   long mode_cache_lookups = 0;
 };
 
-/// Resumable state of one island-model run (checkpoint format v4; see
-/// DESIGN.md §14). Every checkpoint file is an island container — a
-/// single-population save is the island_count == 1 special case — so one
-/// loader, one CRC recipe and one rotation scheme cover both shapes.
+/// Resumable state of one run (checkpoint format v4; see DESIGN.md §14).
+/// Every checkpoint file is an island container — a single-population save
+/// is the island_count == 1 special case — so one loader, one CRC recipe
+/// and one rotation scheme cover both shapes.
 struct IslandSnapshot {
-  /// Island-config fingerprint: hashes island_count, migration_interval,
-  /// migrants and every per-island GA fingerprint (which differ only in
-  /// their rng_stream), so a checkpoint cannot be resumed under a
-  /// different island topology or migration schedule.
+  /// IslandGa::state_fingerprint. With several islands it hashes
+  /// island_count, migration_interval, migrants and every per-island GA
+  /// fingerprint (which differ only in their rng_stream), so a checkpoint
+  /// cannot be resumed under a different island topology or migration
+  /// schedule; with one island it is that island's GA fingerprint.
   std::uint64_t fingerprint = 0;
   std::int32_t island_count = 1;
+  /// Migration schedule; all three are 0 in a one-island container.
   std::int32_t migration_interval = 0;
   std::int32_t migrants = 0;
   /// The migration barrier the run is advancing toward. Disambiguates a
@@ -120,45 +130,38 @@ struct IslandSnapshot {
   std::vector<GaSnapshot> islands;
 };
 
-/// Writes `snapshot` atomically and durably (temp file + fsync + rename +
-/// directory fsync) in the versioned, CRC-protected binary format. Throws
-/// CheckpointError on I/O failure; a write that throws mid-stream removes
-/// its stale `.tmp` file. Equivalent to save_checkpoint_rotating with
-/// keep = 1 (no older generations are retained).
-void save_checkpoint(const std::string& path, const GaSnapshot& snapshot);
-
 /// The on-disk name of checkpoint generation `generation` (0 = newest):
 /// `path` itself, then `path.1`, `path.2`, ...
 [[nodiscard]] std::string checkpoint_generation_path(const std::string& path,
                                                      int generation);
 
-/// Like save_checkpoint, but first shifts the existing generation files up
-/// (`path` -> `path.1` -> ... -> `path.keep-1`, the oldest falling off) so
-/// the last `keep` snapshots survive on disk. One torn or bit-rotted
-/// generation then costs at most `checkpoint_every_generations` of replay
-/// instead of the whole run.
-void save_checkpoint_rotating(const std::string& path,
-                              const GaSnapshot& snapshot, int keep);
-
-/// Island-container variants of the same recipe. save_checkpoint[_rotating]
-/// is exactly save_island_checkpoint_rotating of a one-island container.
+/// Writes `snapshot` atomically and durably (temp file + fsync + rename +
+/// directory fsync) in the versioned, CRC-protected binary format, after
+/// shifting the existing generation files up (`path` -> `path.1` -> ... ->
+/// `path.keep-1`, the oldest falling off) so the last `keep` snapshots
+/// survive on disk. One torn or bit-rotted generation then costs at most
+/// `checkpoint_every_generations` of replay instead of the whole run.
+/// Throws CheckpointError on I/O failure; a write that throws mid-stream
+/// removes its stale `.tmp` file.
 void save_island_checkpoint_rotating(const std::string& path,
                                      const IslandSnapshot& snapshot, int keep);
 
-/// Reads a checkpoint written by save_checkpoint. Throws CheckpointError
-/// on I/O failure, bad magic/version, or CRC mismatch — and, with an
-/// actionable message, when the file holds a multi-island container (those
-/// must be resumed through the island driver with the matching --islands).
-[[nodiscard]] GaSnapshot load_checkpoint(const std::string& path);
-
-/// Reads any checkpoint as an island container (a single-population file
-/// loads as island_count == 1). Throws CheckpointError as load_checkpoint.
+/// Reads one checkpoint file. Throws CheckpointError on I/O failure, bad
+/// magic/version, CRC mismatch, or a payload that does not decode —
+/// including a count larger than the bytes left could hold.
 [[nodiscard]] IslandSnapshot load_island_checkpoint(const std::string& path);
 
-/// Outcome of load_checkpoint_fallback: which generation was loaded and
-/// what was wrong with every newer generation that had to be skipped.
-struct CheckpointLoadResult {
-  GaSnapshot snapshot;
+/// What a resume requires of a checkpoint: the run's island count and its
+/// island-config fingerprint (IslandGa::state_fingerprint).
+struct CheckpointExpectation {
+  std::int32_t island_count = 1;
+  std::uint64_t fingerprint = 0;
+};
+
+/// Outcome of load_island_checkpoint_fallback: which generation was loaded
+/// and what was wrong with every newer generation that had to be skipped.
+struct IslandCheckpointLoadResult {
+  IslandSnapshot snapshot;
   /// The generation file actually loaded.
   std::string loaded_path;
   /// Its generation index (0 = the newest file, `path` itself).
@@ -169,27 +172,15 @@ struct CheckpointLoadResult {
 };
 
 /// Recovery-aware load: tries generations 0..keep-1 in order and returns
-/// the newest one that reads cleanly (and, when `expected_fingerprint` is
-/// set, matches it). Missing and corrupt generations are skipped with a
-/// note instead of aborting the resume. Throws CheckpointError only when
-/// no generation is usable, with every skip reason in the message.
-[[nodiscard]] CheckpointLoadResult load_checkpoint_fallback(
-    const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint = std::nullopt);
-
-/// Island-container analogue of CheckpointLoadResult.
-struct IslandCheckpointLoadResult {
-  IslandSnapshot snapshot;
-  std::string loaded_path;
-  int generation = 0;
-  std::vector<std::string> notes;
-};
-
-/// Island-container analogue of load_checkpoint_fallback (the expected
-/// fingerprint is the island-config fingerprint).
+/// the newest one that reads cleanly and, when `expected` is set, matches
+/// it. The island count is checked before the fingerprint, so a file of a
+/// different topology is skipped with a note naming the --islands value it
+/// needs. Missing, corrupt and mismatched generations are skipped with a
+/// note instead of aborting the resume. Throws CheckpointError only when no
+/// generation is usable, with every skip reason in the message.
 [[nodiscard]] IslandCheckpointLoadResult load_island_checkpoint_fallback(
     const std::string& path, int keep,
-    std::optional<std::uint64_t> expected_fingerprint = std::nullopt);
+    std::optional<CheckpointExpectation> expected = std::nullopt);
 
 /// The run-control handle. Plain-struct configuration plus a thread-safe
 /// cancellation token; one instance drives one `synthesize()` call.
@@ -260,10 +251,6 @@ public:
   /// when disabled). Failure-tolerant: a checkpoint that cannot be written
   /// is logged and counted, never fatal — losing one periodic snapshot
   /// must not kill a multi-hour run (older generations still cover it).
-  void write_checkpoint(const GaSnapshot& snapshot) const;
-
-  /// Island-container variant of write_checkpoint (same tolerance: a
-  /// failed write is logged and counted, never fatal).
   void write_island_checkpoint(const IslandSnapshot& snapshot) const;
 
   /// Checkpoint writes tolerated (logged and skipped) so far.

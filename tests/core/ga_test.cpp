@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/cosynth.hpp"
+#include "core/island_ga.hpp"
 #include "tgff/motivational.hpp"
 #include "tgff/suites.hpp"
 
@@ -20,7 +21,7 @@ GaOptions fast_ga() {
 TEST(MappingGa, FindsExampleOneOptimumWithProbabilities) {
   const System system = make_motivational_example1();
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), /*seed=*/1);
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), {}, /*seed=*/1);
   const SynthesisResult result = ga.run();
   // 2^6 search space: the GA must hit the exact optimum (Fig. 2c).
   EXPECT_NEAR(result.evaluation.avg_power_true * 1e3, 15.7423, 1e-3);
@@ -32,7 +33,7 @@ TEST(MappingGa, FindsExampleOneOptimumWithoutProbabilities) {
   EvaluationOptions options;
   options.weight_override = {1.0, 1.0};
   const Evaluator evaluator(system, options);
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), /*seed=*/1);
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), {}, /*seed=*/1);
   const SynthesisResult result = ga.run();
   EXPECT_NEAR(result.evaluation.avg_power_true * 1e3, 26.7158, 1e-3);
 }
@@ -40,7 +41,7 @@ TEST(MappingGa, FindsExampleOneOptimumWithoutProbabilities) {
 TEST(MappingGa, ObserverSeesMonotoneBest) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), 7);
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), {}, 7);
   double last_best = std::numeric_limits<double>::infinity();
   int calls = 0;
   (void)ga.run([&](const GaProgress& p) {
@@ -55,8 +56,8 @@ TEST(MappingGa, ObserverSeesMonotoneBest) {
 TEST(MappingGa, DeterministicForEqualSeeds) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga1(system, evaluator, {}, {}, fast_ga(), 42);
-  MappingGa ga2(system, evaluator, {}, {}, fast_ga(), 42);
+  IslandGa ga1(system, evaluator, {}, {}, fast_ga(), {}, 42);
+  IslandGa ga2(system, evaluator, {}, {}, fast_ga(), {}, 42);
   const SynthesisResult r1 = ga1.run();
   const SynthesisResult r2 = ga2.run();
   EXPECT_EQ(r1.fitness, r2.fitness);
@@ -97,7 +98,7 @@ TEST(MappingGa, KnapsackSeedRespectsWeights) {
 TEST(MappingGa, ResultIsAtLeastAsGoodAsItsSeeds) {
   const System system = make_mul(9);
   const Evaluator evaluator(system, EvaluationOptions{});
-  MappingGa ga(system, evaluator, {}, {}, fast_ga(), 3);
+  IslandGa ga(system, evaluator, {}, {}, fast_ga(), {}, 3);
   MappingGa probe(system, evaluator, {}, {}, fast_ga(), 3);
   const GenomeCodec& codec = probe.codec();
   auto fitness_of = [&](const Genome& g) {

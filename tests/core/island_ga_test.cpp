@@ -1,5 +1,5 @@
-// Island-model GA contract (DESIGN.md §14): one island degenerates to
-// the plain single-population GA bit for bit, multi-island runs are a
+// Island-model GA contract (DESIGN.md §14): one island is the
+// single-population GA bit for bit, multi-island runs are a
 // pure function of (seed, island count, migration schedule) for any
 // thread count, checkpointed island runs resume bit-identically, and the
 // per-island random streams can never collide with each other or with
@@ -61,11 +61,10 @@ void remove_generations(const std::string& path) {
     std::remove(checkpoint_generation_path(path, gen).c_str());
 }
 
-// --islands=1 takes the single-population route and must reproduce the
-// plain GA byte for byte; driving the same configuration through the
-// island coordinator must match too (the coordinator adds barriers but
-// no RNG draws, so IslandGa(1) exercises the steppable-loop refactor
-// against the monolithic run()).
+// --islands=1 is the single-population GA byte for byte: synthesize()
+// with the default and with an explicit one-island topology agree, and
+// the island coordinator replays a bare stepping loop over one MappingGa
+// exactly (it adds no barriers and no RNG draws at one island).
 TEST(IslandModel, OneIslandBitIdenticalToPlainGa) {
   const System system = make_mul(4);
   SynthesisOptions options;
@@ -77,12 +76,16 @@ TEST(IslandModel, OneIslandBitIdenticalToPlainGa) {
   const SynthesisResult routed = audited_synthesize(system, options);
   expect_results_identical(plain, routed);
 
-  // Same evaluator instance both ways: the coordinator adds barriers but
-  // no RNG draws, so the island-driven loop must replay the monolithic
-  // run() exactly.
+  // Same evaluator instance both ways. The reference is the plain loop:
+  // start, step until the GA refuses, polish, harvest.
   const Evaluator evaluator(system, EvaluationOptions{});
   MappingGa plain_ga(system, evaluator, {}, {}, fast_ga(), 21);
-  const SynthesisResult direct = plain_ga.run();
+  MappingGa::LoopState st;
+  plain_ga.start_loop(st);
+  while (plain_ga.step_generation(st)) {
+  }
+  plain_ga.finish_loop(st);
+  const SynthesisResult direct = plain_ga.harvest(st);
   IslandOptions topology;
   topology.islands = 1;
   IslandGa one(system, evaluator, {}, {}, fast_ga(), topology, 21);
@@ -145,6 +148,69 @@ TEST(IslandModel, ResumeFromRotatedBarrierCheckpointIsIdentical) {
   remove_generations(path);
 }
 
+// A checkpointed one-island run writes the single-population GA's own
+// checkpoint: the container fingerprint is the GA's fingerprint, the
+// migration fields are 0, and a save lands after every
+// `checkpoint_every_generations`-th generation.
+TEST(IslandModel, OneIslandCheckpointIsThePlainGaContainer) {
+  const System system = make_mul(4);
+  SynthesisOptions options;
+  options.ga = fast_ga();
+  options.seed = 21;
+  const std::string path = scratch_path("one_island_cadence");
+  remove_generations(path);
+
+  RunControl record;
+  record.checkpoint_path = path;
+  record.checkpoint_every_generations = 3;
+  record.checkpoint_keep_generations = 4;
+  const SynthesisResult result = synthesize(system, options, &record);
+  ASSERT_GE(result.generations, 12);  // four saves at least
+
+  EvaluationOptions eval;
+  eval.dvs = options.dvs_in_loop;
+  eval.scheduling_policy = options.scheduling_policy;
+  const Evaluator evaluator(system, eval);
+  const MappingGa ga(system, evaluator, options.fitness, options.allocation,
+                     options.ga, options.seed);
+  const int newest = result.generations / 3 * 3;
+  for (int gen = 0; gen < 4; ++gen) {
+    SCOPED_TRACE("generation file " + std::to_string(gen));
+    const IslandSnapshot snap =
+        load_island_checkpoint(checkpoint_generation_path(path, gen));
+    EXPECT_EQ(snap.fingerprint, ga.state_fingerprint());
+    EXPECT_EQ(snap.island_count, 1);
+    EXPECT_EQ(snap.migration_interval, 0);
+    EXPECT_EQ(snap.migrants, 0);
+    EXPECT_EQ(snap.next_migration_generation, 0);
+    ASSERT_EQ(snap.islands.size(), 1u);
+    EXPECT_EQ(snap.islands[0].fingerprint, ga.state_fingerprint());
+    EXPECT_EQ(snap.islands[0].next_generation, newest - 3 * gen);
+  }
+  remove_generations(path);
+}
+
+// At one island the migration schedule is inert: an interval of 0 is
+// accepted, never turns into an empty segment loop, and changes nothing.
+TEST(IslandModel, OneIslandIgnoresMigrationInterval) {
+  const System system = make_mul(4);
+  SynthesisOptions options;
+  options.ga = fast_ga();
+  options.seed = 21;
+  const SynthesisResult reference = synthesize(system, options);
+
+  options.migration_interval = 0;
+  expect_results_identical(reference, synthesize(system, options));
+
+  const std::string path = scratch_path("one_island_zero_interval");
+  remove_generations(path);
+  RunControl record;
+  record.checkpoint_path = path;
+  record.checkpoint_every_generations = 4;
+  expect_results_identical(reference, synthesize(system, options, &record));
+  remove_generations(path);
+}
+
 // A single-population resume of an island container fails with the
 // actionable --islands message instead of a generic parse error.
 TEST(IslandModel, SinglePopulationResumeOfIslandCheckpointIsActionable) {
@@ -191,15 +257,6 @@ TEST(IslandModel, ValidationErrorsAreActionable) {
   EXPECT_THROW(IslandGa::validate(ga, topology), std::invalid_argument);
 
   topology.islands = 2;
-  ga.rng = RngKind::kXoshiro;
-  try {
-    IslandGa::validate(ga, topology);
-    FAIL() << "xoshiro islands should be rejected";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("--islands=1"), std::string::npos);
-  }
-
-  ga = fast_ga();
   topology.migration_interval = 0;
   EXPECT_THROW(IslandGa::validate(ga, topology), std::invalid_argument);
   topology.migration_interval = 5;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <string>
 
+#include "../support/checkpoint_file.hpp"
 #include "common/failpoint.hpp"
 #include "common/rng.hpp"
 #include "core/allocation_builder.hpp"
@@ -165,8 +166,8 @@ ModeEvalKey checkpoint_round_trip(const ModeEvalKey& key) {
   snap.mode_cache = {{key, ModeEvaluation{}}};
   const std::string path =
       std::string(::testing::TempDir()) + "mmsyn_mode_key_round_trip.ckpt";
-  save_checkpoint(path, snap);
-  GaSnapshot loaded = load_checkpoint(path);
+  save_one_island(path, snap);
+  GaSnapshot loaded = load_one_island(path);
   std::remove(path.c_str());
   EXPECT_EQ(loaded.mode_cache.size(), 1u);
   return std::move(loaded.mode_cache.at(0).first);

@@ -8,7 +8,9 @@
 #include <fstream>
 #include <string>
 
+#include "../support/checkpoint_file.hpp"
 #include "core/cosynth.hpp"
+#include "core/island_ga.hpp"
 #include "core/report.hpp"
 #include "tgff/suites.hpp"
 
@@ -74,6 +76,11 @@ GaSnapshot sample_snapshot() {
   return snap;
 }
 
+/// What a resume of sample_snapshot() into its own run expects.
+CheckpointExpectation sample_expectation() {
+  return {1, sample_snapshot().fingerprint};
+}
+
 void expect_mode_entries_equal(
     const std::vector<std::pair<ModeEvalKey, ModeEvaluation>>& a,
     const std::vector<std::pair<ModeEvalKey, ModeEvaluation>>& b) {
@@ -120,20 +127,20 @@ TEST(Checkpoint, RejectsModeCacheEntryWithSchedule) {
   // built from the wrong evaluator configuration and must not be written.
   GaSnapshot snap = sample_snapshot();
   snap.mode_cache[0].second.schedule.emplace();
-  EXPECT_THROW(save_checkpoint(scratch_path("sched_entry"), snap),
+  EXPECT_THROW(save_one_island(scratch_path("sched_entry"), snap),
                CheckpointError);
 }
 
 TEST(Checkpoint, RoundTripsExactly) {
   const std::string path = scratch_path("roundtrip");
   const GaSnapshot original = sample_snapshot();
-  save_checkpoint(path, original);
-  expect_snapshots_equal(load_checkpoint(path), original);
+  save_one_island(path, original);
+  expect_snapshots_equal(load_one_island(path), original);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, MissingFileIsTypedError) {
-  EXPECT_THROW(load_checkpoint("/nonexistent/dir/nope.ckpt"), CheckpointError);
+  EXPECT_THROW(load_one_island("/nonexistent/dir/nope.ckpt"), CheckpointError);
 }
 
 TEST(Checkpoint, RejectsBadMagic) {
@@ -142,13 +149,13 @@ TEST(Checkpoint, RejectsBadMagic) {
     std::ofstream os(path, std::ios::binary);
     os << "NOTMMSYNgarbage that is long enough to read a header from....";
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_one_island(path), CheckpointError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsTruncation) {
   const std::string path = scratch_path("trunc");
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -159,13 +166,13 @@ TEST(Checkpoint, RejectsTruncation) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 13));
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_one_island(path), CheckpointError);
   std::remove(path.c_str());
 }
 
 TEST(Checkpoint, RejectsBitFlip) {
   const std::string path = scratch_path("flip");
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -176,7 +183,7 @@ TEST(Checkpoint, RejectsBitFlip) {
     std::ofstream os(path, std::ios::binary | std::ios::trunc);
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_THROW(load_checkpoint(path), CheckpointError);
+  EXPECT_THROW(load_one_island(path), CheckpointError);
   std::remove(path.c_str());
 }
 
@@ -218,12 +225,12 @@ TEST(Checkpoint, RotationKeepsLastKGenerations) {
   GaSnapshot snap = sample_snapshot();
   for (int i = 0; i < 4; ++i) {
     snap.next_generation = i;
-    save_checkpoint_rotating(path, snap, /*keep=*/3);
+    save_one_island(path, snap, /*keep=*/3);
   }
   // Newest first: generations 3, 2, 1; generation 0 fell off the end.
-  EXPECT_EQ(load_checkpoint(path).next_generation, 3);
-  EXPECT_EQ(load_checkpoint(path + ".1").next_generation, 2);
-  EXPECT_EQ(load_checkpoint(path + ".2").next_generation, 1);
+  EXPECT_EQ(load_one_island(path).next_generation, 3);
+  EXPECT_EQ(load_one_island(path + ".1").next_generation, 2);
+  EXPECT_EQ(load_one_island(path + ".2").next_generation, 1);
   EXPECT_FALSE(file_exists(path + ".3"));
   remove_generations(path);
 }
@@ -233,13 +240,14 @@ TEST(Checkpoint, FallbackPrefersNewestGoodGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint_rotating(path, snap, 3);
+  save_one_island(path, snap, 3);
   snap.next_generation = 10;
-  save_checkpoint_rotating(path, snap, 3);
-  const CheckpointLoadResult loaded = load_checkpoint_fallback(path, 3);
+  save_one_island(path, snap, 3);
+  const IslandCheckpointLoadResult loaded =
+      load_island_checkpoint_fallback(path, 3);
   EXPECT_EQ(loaded.generation, 0);
   EXPECT_EQ(loaded.loaded_path, path);
-  EXPECT_EQ(loaded.snapshot.next_generation, 10);
+  EXPECT_EQ(loaded.snapshot.islands.at(0).next_generation, 10);
   EXPECT_TRUE(loaded.notes.empty());
   remove_generations(path);
 }
@@ -281,10 +289,17 @@ void damage_wrong_fingerprint(const std::string& path) {
   GaSnapshot other = sample_snapshot();
   other.fingerprint ^= 0xdeadbeefull;
   other.next_generation = 99;
-  save_checkpoint(path, other);
+  save_one_island(path, other);
 }
 
 void damage_empty_file(const std::string& path) { write_file(path, ""); }
+
+void damage_hostile_genome_length(const std::string& path) {
+  // CRC-valid, so only the decoder's count bound rejects it; without the
+  // bound, sizing genomes of 2^61 genes throws std::bad_alloc, which is
+  // not a CheckpointError and would abort the resume.
+  patch_checkpoint_u64(path, kGenomeLengthOffset, std::uint64_t{1} << 61);
+}
 
 class CheckpointCorruptionTest
     : public ::testing::TestWithParam<CorruptionCase> {};
@@ -297,23 +312,23 @@ TEST_P(CheckpointCorruptionTest, FallsBackToPreviousGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint_rotating(path, snap, 3);  // becomes .1 after next save
+  save_one_island(path, snap, 3);  // becomes .1 after next save
   snap.next_generation = 10;
-  save_checkpoint_rotating(path, snap, 3);
+  save_one_island(path, snap, 3);
   GetParam().damage(path);
 
-  const CheckpointLoadResult loaded =
-      load_checkpoint_fallback(path, 3, sample_snapshot().fingerprint);
+  const IslandCheckpointLoadResult loaded =
+      load_island_checkpoint_fallback(path, 3, sample_expectation());
   EXPECT_EQ(loaded.generation, 1);
   EXPECT_EQ(loaded.loaded_path, path + ".1");
-  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  EXPECT_EQ(loaded.snapshot.islands.at(0).next_generation, 5);
   ASSERT_EQ(loaded.notes.size(), 1u);  // one note for the damaged newest
 
   // Without an older good generation the same damage is a typed error.
   std::remove((path + ".1").c_str());
-  EXPECT_THROW((void)load_checkpoint_fallback(path, 3,
-                                              sample_snapshot().fingerprint),
-               CheckpointError);
+  EXPECT_THROW(
+      (void)load_island_checkpoint_fallback(path, 3, sample_expectation()),
+      CheckpointError);
   remove_generations(path);
 }
 
@@ -324,7 +339,9 @@ INSTANTIATE_TEST_SUITE_P(
                       CorruptionCase{"WrongVersion", damage_wrong_version},
                       CorruptionCase{"WrongFingerprint",
                                      damage_wrong_fingerprint},
-                      CorruptionCase{"EmptyFile", damage_empty_file}),
+                      CorruptionCase{"EmptyFile", damage_empty_file},
+                      CorruptionCase{"HostileGenomeLength",
+                                     damage_hostile_genome_length}),
     [](const ::testing::TestParamInfo<CorruptionCase>& info) {
       return info.param.name;
     });
@@ -337,26 +354,26 @@ TEST(Checkpoint, V5FileIsUnsupportedVersionAndFallsBack) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint_rotating(path, snap, 3);  // becomes .1 after next save
+  save_one_island(path, snap, 3);  // becomes .1 after next save
   snap.next_generation = 10;
-  save_checkpoint_rotating(path, snap, 3);
+  save_one_island(path, snap, 3);
   std::string bytes = read_file(path);
   ASSERT_EQ(bytes[8], 6);  // u32 version right after the 8-byte magic
   bytes[8] = 5;
   write_file(path, bytes);
 
   try {
-    (void)load_checkpoint(path);
+    (void)load_one_island(path);
     FAIL() << "expected CheckpointError";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 5"),
               std::string::npos)
         << e.what();
   }
-  const CheckpointLoadResult loaded =
-      load_checkpoint_fallback(path, 3, sample_snapshot().fingerprint);
+  const IslandCheckpointLoadResult loaded =
+      load_island_checkpoint_fallback(path, 3, sample_expectation());
   EXPECT_EQ(loaded.generation, 1);
-  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  EXPECT_EQ(loaded.snapshot.islands.at(0).next_generation, 5);
   ASSERT_EQ(loaded.notes.size(), 1u);
   EXPECT_NE(loaded.notes[0].find("unsupported checkpoint version 5"),
             std::string::npos)
@@ -372,17 +389,18 @@ TEST(Checkpoint, FallbackSkipsMissingNewestGeneration) {
   remove_generations(path);
   GaSnapshot snap = sample_snapshot();
   snap.next_generation = 5;
-  save_checkpoint(path + ".1", snap);
-  const CheckpointLoadResult loaded = load_checkpoint_fallback(path, 3);
+  save_one_island(path + ".1", snap);
+  const IslandCheckpointLoadResult loaded =
+      load_island_checkpoint_fallback(path, 3);
   EXPECT_EQ(loaded.generation, 1);
-  EXPECT_EQ(loaded.snapshot.next_generation, 5);
+  EXPECT_EQ(loaded.snapshot.islands.at(0).next_generation, 5);
   remove_generations(path);
 }
 
 TEST(Checkpoint, SaveLeavesNoStaleTmpFile) {
   const std::string path = scratch_path("no_tmp");
   remove_generations(path);
-  save_checkpoint(path, sample_snapshot());
+  save_one_island(path, sample_snapshot());
   EXPECT_FALSE(file_exists(path + ".tmp"));
   remove_generations(path);
 }
@@ -392,7 +410,7 @@ TEST(RunControl, WriteCheckpointToleratesFailure) {
   control.checkpoint_path = "/nonexistent/dir/run.ckpt";
   std::vector<std::string> log;
   control.recovery_log = [&](const std::string& m) { log.push_back(m); };
-  control.write_checkpoint(sample_snapshot());  // must not throw
+  control.write_island_checkpoint(one_island(sample_snapshot()));  // no throw
   EXPECT_EQ(control.checkpoint_write_failures(), 1);
   ASSERT_EQ(log.size(), 1u);
   EXPECT_NE(log[0].find("checkpoint write failure"), std::string::npos);
@@ -453,8 +471,8 @@ TEST(Resume, CancelledRunResumesBitIdentically) {
       eval.dvs = options.dvs_in_loop;
       return eval;
     }());
-    MappingGa ga(system, evaluator, options.fitness, options.allocation,
-                 options.ga, options.seed);
+    IslandGa ga(system, evaluator, options.fitness, options.allocation,
+                options.ga, IslandOptions{}, options.seed);
     const SynthesisResult partial = ga.run(
         [&](const GaProgress& progress) {
           if (progress.generation >= 4) stopper.request_cancel();
@@ -503,7 +521,7 @@ TEST(Resume, PeriodicCheckpointResumesBitIdentically) {
   writer.checkpoint_path = path;
   writer.checkpoint_every_generations = 5;
   (void)synthesize(system, options, &writer);
-  const GaSnapshot snap = load_checkpoint(path);
+  const GaSnapshot snap = load_one_island(path);
   EXPECT_GT(snap.next_generation, 0);
 
   RunControl resumer;

@@ -11,11 +11,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "../support/checkpoint_file.hpp"
 #include "common/failpoint.hpp"
 #include "model/io.hpp"
 #include "server/client.hpp"
@@ -492,6 +494,90 @@ TEST(JobServer, DrainLeavesRunningJobResumable) {
   const JournalRecovery recovery = journal.open(dir + "/jobs.wal");
   EXPECT_EQ(recovery.jobs.at(id).crash_attempts, 0);
   EXPECT_FALSE(recovery.jobs.at(id).completed);
+}
+
+// A CRC-valid checkpoint whose genome_length no payload could hold is a
+// typed CheckpointError like any other damaged generation: the restarted
+// job resumes from the generation before it (not a fresh restart, not a
+// failed job) and its report matches an uninterrupted run byte for byte.
+TEST(JobServer, HostileCheckpointCountResumesFromPreviousGeneration) {
+  SubmitRequest request;
+  request.system_text = system_to_string(make_mul(8));
+  request.options = fast_options(15);
+  // Long enough that the drain below lands mid-run: convergence needs 70
+  // stagnant generations, and the drain follows the second one.
+  request.options.population = 48;
+  request.options.generations = 150;
+
+  std::string reference;
+  {
+    ServerOptions options = base_options(scratch_dir("hostile_count_ref"));
+    options.workers = 1;
+    JobServer server(std::move(options));
+    server.start();
+    const SubmitOutcome submitted = server.submit(request);
+    ASSERT_TRUE(submitted.accepted);
+    const WaitOutcome out = server.wait(submitted.ok.job_id);
+    ASSERT_TRUE(out.ok);
+    ASSERT_EQ(out.result.outcome, JobOutcome::kOk);
+    reference = out.result.report;
+  }
+
+  const std::string dir = scratch_dir("hostile_count");
+  auto exists = [](const std::string& path) {
+    struct stat st;
+    return ::stat(path.c_str(), &st) == 0;
+  };
+  std::uint64_t id = 0;
+  std::string checkpoint;
+  {
+    ServerOptions options = base_options(dir);
+    options.workers = 1;
+    options.checkpoint_every = 1;
+    JobServer server(std::move(options));
+    server.start();
+    const SubmitOutcome submitted = server.submit(request);
+    ASSERT_TRUE(submitted.accepted);
+    id = submitted.ok.job_id;
+    checkpoint = dir + "/job-" + std::to_string(id) + ".ckpt";
+    for (int g = 0; g < 3; ++g)  // leftovers of an aborted earlier run
+      std::remove(checkpoint_generation_path(checkpoint, g).c_str());
+    // Drain once two generations are on disk, so the newest has an older
+    // generation to fall back to.
+    for (int i = 0; i < 10'000 && !exists(checkpoint + ".1"); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    server.drain_and_stop();
+  }
+  ASSERT_TRUE(exists(checkpoint));
+  ASSERT_TRUE(exists(checkpoint + ".1"));
+  patch_checkpoint_u64(checkpoint, kGenomeLengthOffset,
+                       std::uint64_t{1} << 61);
+
+  std::mutex log_mu;
+  std::vector<std::string> log;
+  ServerOptions options = base_options(dir);
+  options.workers = 1;
+  options.log = [&](const std::string& line) {
+    const std::lock_guard<std::mutex> lock(log_mu);
+    log.push_back(line);
+  };
+  JobServer server(std::move(options));
+  server.start();
+  const WaitOutcome out = server.wait(id);
+  ASSERT_TRUE(out.ok);
+  EXPECT_EQ(out.result.outcome, JobOutcome::kOk);
+  EXPECT_EQ(out.result.report, reference);
+  server.drain_and_stop();
+
+  const std::lock_guard<std::mutex> lock(log_mu);
+  auto logged = [&](const std::string& needle) {
+    return std::any_of(log.begin(), log.end(), [&](const std::string& line) {
+      return line.find(needle) != std::string::npos;
+    });
+  };
+  EXPECT_TRUE(logged("skipped checkpoint generation"));
+  EXPECT_TRUE(logged("resumed from older generation " + checkpoint + ".1"));
+  EXPECT_FALSE(logged("restarting fresh"));
 }
 
 // A long-lived server joins each connection thread once its client has
